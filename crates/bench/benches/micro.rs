@@ -72,6 +72,57 @@ fn bench_dijkstra_dag(c: &mut Criterion) {
     });
 }
 
+/// The two per-destination kernels of every FW/NEM iteration on the
+/// te_stream-sized Rand50a: the single-pass Dijkstra + DAG build under
+/// float, κ-like first weights (few exact ties), and the exponential
+/// split tables over the resulting DAGs (mostly one-next-hop rows).
+fn bench_routing_kernels_rand50a(c: &mut Criterion) {
+    let net = gen::random_network("Rand50a", 50, 242, 0xC0FFEE);
+    let g = net.graph();
+    // InvCap scaled by a deterministic per-link factor in [1, 2): the
+    // shape of a Frank–Wolfe gradient, where equal costs are rare.
+    let w: Vec<f64> = net
+        .capacities()
+        .iter()
+        .enumerate()
+        .map(|(e, cap)| (1.0 + ((e * 7919) % 97) as f64 / 97.0) / cap)
+        .collect();
+    let v: Vec<f64> = (0..net.link_count())
+        .map(|e| ((e * 104_729) % 31) as f64 / 8.0)
+        .collect();
+    let dests: Vec<NodeId> = g.nodes().collect();
+
+    let csr = Csr::in_of(g);
+    let mut ws = RoutingWorkspace::new();
+    let mut set = DagSet::new();
+    c.bench_function("dags_all_rand50a_batched", |b| {
+        b.iter(|| {
+            build_dag_set(
+                g,
+                &csr,
+                &w,
+                &dests,
+                0.0,
+                Parallelism::Never,
+                &mut ws,
+                &mut set,
+            )
+            .expect("dags")
+        })
+    });
+
+    let mut engine = RoutingEngine::with_parallelism(g, Parallelism::Never);
+    engine.build_dags(&w, &dests, 0.0).expect("dags");
+    c.bench_function("split_tables_rand50a_exponential", |b| {
+        b.iter(|| {
+            engine
+                .build_split_tables(SplitRule::Exponential(&v))
+                .expect("split tables")
+                .len()
+        })
+    });
+}
+
 fn bench_traffic_distribution(c: &mut Criterion) {
     let net = standard::cernet2();
     let tm = TrafficMatrix::gravity(&net, 1.0, 3).scaled_to_network_load(&net, 0.15);
@@ -1019,6 +1070,7 @@ fn bench_topology_delta(c: &mut Criterion) {
 criterion_group!(
     micro,
     bench_dijkstra_dag,
+    bench_routing_kernels_rand50a,
     bench_traffic_distribution,
     bench_fib,
     bench_frank_wolfe,

@@ -200,6 +200,9 @@ pub struct SplitTableSet {
     /// calls (rebuilt rows append fresh entries and abandon the old ones).
     /// Once garbage outweighs live entries the arena is compacted.
     garbage: usize,
+    /// Reused scratch of [`SplitTableSet::compact`]: the live span
+    /// indices in arena order.
+    live: Vec<usize>,
 }
 
 impl SplitTableSet {
@@ -248,6 +251,7 @@ impl SplitTableSet {
         self.spans.capacity() * std::mem::size_of::<(usize, usize)>()
             + self.entries.capacity() * std::mem::size_of::<(EdgeId, f64)>()
             + self.log_z.capacity() * std::mem::size_of::<f64>()
+            + self.live.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Appends the split table of one destination DAG. Mirrors
@@ -302,12 +306,13 @@ impl SplitTableSet {
     /// Left-compacts the live entry spans (in arena order, preserving
     /// every row's contents and relative layout) and drops the garbage.
     fn compact(&mut self) {
-        let mut live: Vec<usize> = (0..self.spans.len())
-            .filter(|&s| self.spans[s].1 > 0)
-            .collect();
-        live.sort_unstable_by_key(|&s| self.spans[s].0);
+        let spans = &self.spans;
+        self.live.clear();
+        self.live
+            .extend((0..spans.len()).filter(|&s| spans[s].1 > 0));
+        self.live.sort_unstable_by_key(|&s| spans[s].0);
         let mut write = 0usize;
-        for &s in &live {
+        for &s in &self.live {
             let (start, len) = self.spans[s];
             self.entries.copy_within(start..start + len, write);
             self.spans[s] = (write, len);
@@ -338,18 +343,33 @@ impl SplitTableSet {
                 continue;
             }
             let succ = dag.dag_successors(u);
-            if succ.is_empty() {
-                continue;
-            }
-            let start = self.entries.len();
-            for &e in succ {
-                let x = graph.target(e);
+            let term = |e: EdgeId| {
                 let v_e = match rule {
                     SplitRule::EvenEcmp => 0.0,
                     SplitRule::Exponential(v) => v[e.index()],
                 };
-                self.entries
-                    .push((e, -v_e + self.log_z[lz_base + x.index()]));
+                -v_e + self.log_z[lz_base + graph.target(e).index()]
+            };
+            let start = self.entries.len();
+            if let &[e] = succ {
+                // One next hop: the softmax of a single finite term `t` is
+                // `exp(t − t) = 1`, so log Z = t + ln 1 = t + 0.0 (which
+                // also maps a −0.0 term to +0.0) and the ratio is exactly
+                // 1.0 — the general path's values, without `exp`/`ln`.
+                let t = term(e);
+                if t == f64::NEG_INFINITY {
+                    continue; // stranded successor
+                }
+                self.log_z[lz_base + u.index()] = t + 0.0;
+                self.entries.push((e, 1.0));
+                self.spans[span_base + u.index()] = (start, 1);
+                continue;
+            }
+            if succ.is_empty() {
+                continue;
+            }
+            for &e in succ {
+                self.entries.push((e, term(e)));
             }
             let max_term = self.entries[start..]
                 .iter()
@@ -1180,6 +1200,88 @@ mod tests {
         // Path with weight 5000 is e^1 more likely than 5001.
         let ratio = flows.aggregate()[0] / flows.aggregate()[1];
         assert!((ratio - std::f64::consts::E).abs() < 1e-6);
+    }
+
+    /// Edge ids and the bit patterns of ratios and log path sums.
+    type RowBits = (Vec<Vec<(EdgeId, u64)>>, Vec<u64>);
+
+    fn row_bits(t: &SplitTable, n: usize) -> RowBits {
+        let rows = (0..n)
+            .map(|u| {
+                t.next_hops(NodeId::new(u))
+                    .iter()
+                    .map(|&(e, r)| (e, r.to_bits()))
+                    .collect()
+            })
+            .collect();
+        let lz = (0..n)
+            .map(|u| t.log_path_sum(NodeId::new(u)).to_bits())
+            .collect();
+        (rows, lz)
+    }
+
+    #[test]
+    fn one_next_hop_rows_match_the_reference_bitwise() {
+        // Target 5. Node 4 hops straight to the target; node 3 has two
+        // equal-cost hops (via 4, and direct); 2 and 1 are single hops
+        // behind that multi-hop row. Node 6 reaches the target only over
+        // a zero-weight edge, so it ties with it and has no DAG
+        // successor; node 0's only hop goes through 6 and is stranded.
+        let mut g = Graph::with_nodes(7);
+        g.add_edge(4.into(), 5.into()); // e0
+        g.add_edge(3.into(), 4.into()); // e1
+        g.add_edge(3.into(), 5.into()); // e2
+        g.add_edge(2.into(), 3.into()); // e3
+        g.add_edge(1.into(), 2.into()); // e4
+        g.add_edge(6.into(), 5.into()); // e5
+        g.add_edge(0.into(), 6.into()); // e6
+        let w = [1.0, 1.0, 2.0, 1.0, 1.0, 0.0, 1.0];
+        let n = g.node_count();
+        let dag = ShortestPathDag::build(&g, &w, 5.into(), 0.0).unwrap();
+        assert_eq!(dag.successors(3.into()).len(), 2);
+        assert!(dag.successors(6.into()).is_empty());
+
+        let second = [
+            // v = 0 on the hop into the target: its term is -0.0 + 0.0.
+            vec![0.0, 0.5, 0.25, 1e300, 0.0, 0.0, 0.0],
+            // A negative-zero second weight and an infinite one (a
+            // stranded term on a reachable node).
+            vec![-0.0, 0.0, 0.0, 0.0, f64::INFINITY, 0.0, 2.0],
+            // Huge weights on every hop.
+            vec![1e300; 7],
+        ];
+        let mut rules = vec![SplitRule::EvenEcmp];
+        rules.extend(second.iter().map(|v| SplitRule::Exponential(v)));
+        for rule in rules {
+            let reference = row_bits(&SplitTable::build(&g, &dag, rule).unwrap(), n);
+            let arena_bits =
+                |set: &SplitTableSet| row_bits(&SplitTable::from_ref(set.table(0), n), n);
+            let mut set = SplitTableSet::new();
+            set.reset(n);
+            set.push_table(&g, &dag, rule);
+            assert_eq!(arena_bits(&set), reference, "{rule:?}");
+            // The in-place rebuild runs the same kernel.
+            set.rebuild_table(0, &g, &dag, rule);
+            assert_eq!(arena_bits(&set), reference, "{rule:?}");
+
+            let table = set.table(0);
+            assert!(table.next_hops(0.into()).is_empty(), "stranded hop");
+            assert_eq!(table.log_path_sum(0.into()), f64::NEG_INFINITY);
+            assert_eq!(table.next_hops(3.into()).len(), 2);
+            for u in [2, 4] {
+                let hops = table.next_hops(u.into());
+                assert_eq!(hops.len(), 1);
+                assert_eq!(hops[0].1.to_bits(), 1.0f64.to_bits());
+            }
+        }
+        // v = 0 into the target gives log Z = +0.0, not -0.0.
+        let zero = SplitRule::Exponential(&second[0]);
+        let table = SplitTable::build(&g, &dag, zero).unwrap();
+        assert_eq!(table.log_path_sum(4.into()).to_bits(), 0.0f64.to_bits());
+        // An infinite second weight strands node 1 under the second rule.
+        let inf = SplitRule::Exponential(&second[1]);
+        let table = SplitTable::build(&g, &dag, inf).unwrap();
+        assert!(table.next_hops(1.into()).is_empty());
     }
 
     #[test]

@@ -16,8 +16,14 @@
 //!   left are the `O(dests)` task list and the shim's work cells — never
 //!   the `O(dests · (nodes + edges))` arena data);
 //! * [`DagSet`] holds the DAGs of *all* destinations in contiguous
-//!   offset-indexed arenas (`dist`, CSR successor lists, processing
-//!   orders, path counts) instead of per-destination heap objects;
+//!   per-destination arena blocks (`dist`, span-addressed successor
+//!   lists, processing orders, path counts) instead of per-destination
+//!   heap objects;
+//! * each destination's DAG comes out of **one** Dijkstra pass: a node's
+//!   out-edges are classified, its successors written and its path count
+//!   summed at the moment it settles, and the processing order is the
+//!   reversed settle order after a linear tie fix-up — no separate
+//!   classification, CSR-fill, sort or path-count passes;
 //! * destinations fan out across worker threads (through the `rayon`
 //!   shim) when the batch is large enough to amortise thread spawn-up —
 //!   each destination writes only its own arena slices, so results are
@@ -79,15 +85,11 @@ impl Parallelism {
 struct SlotScratch {
     settled: Vec<bool>,
     heap: BinaryHeap<HeapEntry>,
-    /// Doubles as the per-node successor counter and fill cursor during
-    /// CSR construction.
-    cursor: Vec<usize>,
 }
 
 impl SlotScratch {
     fn ensure(&mut self, n: usize) {
         self.settled.resize(n, false);
-        self.cursor.resize(n, 0);
     }
 }
 
@@ -122,11 +124,7 @@ impl RoutingWorkspace {
     pub fn arena_bytes(&self) -> usize {
         self.slots
             .iter()
-            .map(|s| {
-                s.settled.capacity()
-                    + s.heap.capacity() * std::mem::size_of::<HeapEntry>()
-                    + s.cursor.capacity() * std::mem::size_of::<usize>()
-            })
+            .map(|s| s.settled.capacity() + s.heap.capacity() * std::mem::size_of::<HeapEntry>())
             .sum()
     }
 }
@@ -147,9 +145,11 @@ pub struct DagSet {
     dests: Vec<NodeId>,
     /// `dist[i * n + u]`: distance from `u` to destination `i`.
     dist: Vec<f64>,
-    /// `succ_off[i * (n + 1) + u]`: block-relative offsets into the
-    /// destination's successor block.
-    succ_off: Vec<usize>,
+    /// `succ_span[i * n + u]`: `(start, len)` of `u`'s successors inside
+    /// the destination's successor block — spans rather than prefix
+    /// offsets because rows are written in Dijkstra settle order, not
+    /// node-id order.
+    succ_span: Vec<(u32, u32)>,
     /// Successor edge ids, `m_block` slots per destination.
     succ: Vec<EdgeId>,
     /// DAG membership per edge, `m_block` slots per destination.
@@ -200,7 +200,7 @@ impl DagSet {
             target: self.dests[i],
             tol: self.tol,
             dist: &self.dist[i * n..(i + 1) * n],
-            succ_off: &self.succ_off[i * (n + 1)..(i + 1) * (n + 1)],
+            succ_span: &self.succ_span[i * n..(i + 1) * n],
             succ: &self.succ[i * self.m_block..(i + 1) * self.m_block],
             on_dag: &self.on_dag[i * self.m_block..(i + 1) * self.m_block],
             order: &self.order[i * n..i * n + self.order_len[i]],
@@ -264,20 +264,24 @@ impl DagSet {
     fn dists_arena_bytes(&self) -> usize {
         self.dests.capacity() * std::mem::size_of::<NodeId>()
             + self.dist.capacity() * std::mem::size_of::<f64>()
-            + self.succ_off.capacity() * std::mem::size_of::<usize>()
+            + self.succ_span.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.order_len.capacity() * std::mem::size_of::<usize>()
     }
 
     fn prepare(&mut self, dests: &[NodeId], n: usize, m: usize, tol: f64) {
         let d = dests.len();
         let m_block = m.max(1);
+        assert!(
+            u32::try_from(m_block).is_ok(),
+            "successor spans address at most u32::MAX edges"
+        );
         self.n = n;
         self.m_block = m_block;
         self.tol = tol;
         self.dests.clear();
         self.dests.extend_from_slice(dests);
         self.dist.resize(d * n, 0.0);
-        self.succ_off.resize(d * (n + 1), 0);
+        self.succ_span.resize(d * n, (0, 0));
         self.succ.resize(d * m_block, EdgeId::new(0));
         self.on_dag.resize(d * m_block, false);
         self.order.resize(d * n, NodeId::new(0));
@@ -295,7 +299,7 @@ pub struct DagRef<'a> {
     target: NodeId,
     tol: f64,
     dist: &'a [f64],
-    succ_off: &'a [usize],
+    succ_span: &'a [(u32, u32)],
     succ: &'a [EdgeId],
     on_dag: &'a [bool],
     order: &'a [NodeId],
@@ -326,7 +330,8 @@ impl<'a> DagRef<'a> {
 
     /// DAG edges leaving `u`, in edge-id order.
     pub fn successors(&self, u: NodeId) -> &'a [EdgeId] {
-        &self.succ[self.succ_off[u.index()]..self.succ_off[u.index() + 1]]
+        let (start, len) = self.succ_span[u.index()];
+        &self.succ[start as usize..(start + len) as usize]
     }
 
     /// Returns `true` if edge `e` lies on some shortest path to the target.
@@ -427,7 +432,7 @@ struct DagTask<'a> {
     target: NodeId,
     scratch: &'a mut SlotScratch,
     dist: &'a mut [f64],
-    succ_off: &'a mut [usize],
+    succ_span: &'a mut [(u32, u32)],
     succ: &'a mut [EdgeId],
     on_dag: &'a mut [bool],
     order: &'a mut [NodeId],
@@ -470,7 +475,7 @@ pub fn build_dag_set(
     let tasks = ws.slots[..dests.len()]
         .iter_mut()
         .zip(out.dist.chunks_mut(n))
-        .zip(out.succ_off.chunks_mut(n + 1))
+        .zip(out.succ_span.chunks_mut(n))
         .zip(out.succ.chunks_mut(m_block))
         .zip(out.on_dag.chunks_mut(m_block))
         .zip(out.order.chunks_mut(n))
@@ -478,12 +483,12 @@ pub fn build_dag_set(
         .zip(out.path_counts.chunks_mut(n))
         .zip(dests.iter())
         .map(
-            |((((((((scratch, dist), succ_off), succ), on_dag), order), order_len), pc), &t)| {
+            |((((((((scratch, dist), succ_span), succ), on_dag), order), order_len), pc), &t)| {
                 DagTask {
                     target: t,
                     scratch,
                     dist,
-                    succ_off,
+                    succ_span,
                     succ,
                     on_dag,
                     order,
@@ -586,7 +591,7 @@ pub fn rebuild_dag_set_slots(
     let tasks = ws.slots[..d]
         .iter_mut()
         .zip(out.dist.chunks_mut(n))
-        .zip(out.succ_off.chunks_mut(n + 1))
+        .zip(out.succ_span.chunks_mut(n))
         .zip(out.succ.chunks_mut(m_block))
         .zip(out.on_dag.chunks_mut(m_block))
         .zip(out.order.chunks_mut(n))
@@ -597,13 +602,13 @@ pub fn rebuild_dag_set_slots(
         .filter(|task_and_flag| *task_and_flag.1)
         .map(
             |(
-                ((((((((scratch, dist), succ_off), succ), on_dag), order), order_len), pc), &t),
+                ((((((((scratch, dist), succ_span), succ), on_dag), order), order_len), pc), &t),
                 _,
             )| DagTask {
                 target: t,
                 scratch,
                 dist,
-                succ_off,
+                succ_span,
                 succ,
                 on_dag,
                 order,
@@ -676,17 +681,27 @@ where
     Ok(())
 }
 
-/// Per-destination DAG build into arena slices. Mirrors the legacy
-/// [`ShortestPathDag::build`] step by step so floating-point results and
-/// all orderings are identical.
+/// Per-destination DAG build into arena slices, in one Dijkstra pass.
+///
+/// When node `u` settles, every node closer to the target is final and
+/// every other node's tentative distance is at least `dist[u]` (keys only
+/// grow, since weights are non-negative). So `u`'s out-edges can be
+/// classified right then with the legacy test `w + dx − du ≤ tol && dx <
+/// du` — an edge toward a node that is not yet final fails `dx < du` now
+/// and would fail it later too — and the successors' path counts are
+/// already known. Successors go straight into the slot's arena block in
+/// settle order, addressed by per-node spans. The settle order reversed
+/// is the decreasing-distance order up to ties, which one linear fix-up
+/// pass repairs. Results are bit-identical to [`ShortestPathDag::build`]:
+/// same distances, same classification arithmetic, successors in edge-id
+/// order (out-edge lists are in id order by construction) and the same
+/// `(distance desc, id asc)` order.
 fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: DagTask<'_>) {
-    let n = graph.node_count();
-    let m = graph.edge_count();
     let DagTask {
         target,
         scratch,
         dist,
-        succ_off,
+        succ_span,
         succ,
         on_dag,
         order,
@@ -694,86 +709,85 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
         path_counts,
     } = task;
 
-    dijkstra_csr(in_csr, weights, target, dist, scratch);
-
-    // Classify edges (in id order, exactly like the legacy path) and count
-    // successors per node. Edges masked out of the CSR must never join the
-    // DAG even when the slack test would accept them: the distances above
-    // were computed over the masked view, so an undirected-symmetric failed
-    // edge can still look tight here.
+    // Edges masked out of the CSR must never join the DAG even when the
+    // slack test would accept them: the distances are computed over the
+    // masked view, so an undirected-symmetric failed edge can still look
+    // tight.
     let disabled = in_csr.disabled_edges();
-    on_dag[..m].fill(false);
-    scratch.cursor[..n].fill(0);
-    for (e, u, v) in graph.edges() {
-        if !disabled.is_empty() && disabled[e.index()] {
-            continue;
-        }
-        let (du, dv) = (dist[u.index()], dist[v.index()]);
-        if !du.is_finite() || !dv.is_finite() {
-            continue;
-        }
-        let slack = weights[e.index()] + dv - du;
-        if slack <= tol && dv < du {
-            on_dag[e.index()] = true;
-            scratch.cursor[u.index()] += 1;
-        }
-    }
-    // Prefix sums -> block-relative CSR offsets; cursor becomes the fill
-    // position of each node.
-    succ_off[0] = 0;
-    for u in 0..n {
-        let count = scratch.cursor[u];
-        scratch.cursor[u] = succ_off[u];
-        succ_off[u + 1] = succ_off[u] + count;
-    }
-    for (e, u, _) in graph.edges() {
-        if on_dag[e.index()] {
-            succ[scratch.cursor[u.index()]] = e;
-            scratch.cursor[u.index()] += 1;
-        }
-    }
-
-    // Reachable nodes by decreasing distance (id-tiebroken, so the order is
-    // unique and schedule-independent).
+    on_dag[..graph.edge_count()].fill(false);
+    succ_span.fill((0, 0));
+    path_counts.fill(0);
     let mut len = 0;
-    for (u, d) in dist.iter().enumerate() {
-        if d.is_finite() {
-            order[len] = NodeId::new(u);
-            len += 1;
+    let mut fill = 0;
+    dijkstra_csr(in_csr, weights, target, dist, scratch, |u, du, dist| {
+        order[len] = u;
+        len += 1;
+        let start = fill;
+        let mut total = 0u64;
+        for &e in graph.out_edges(u) {
+            if !disabled.is_empty() && disabled[e.index()] {
+                continue;
+            }
+            let x = graph.target(e).index();
+            let dx = dist[x];
+            if dx < du && weights[e.index()] + dx - du <= tol {
+                on_dag[e.index()] = true;
+                succ[fill] = e;
+                fill += 1;
+                total = total.saturating_add(path_counts[x]);
+            }
         }
-    }
+        succ_span[u.index()] = (start as u32, (fill - start) as u32);
+        path_counts[u.index()] = if u == target { 1 } else { total };
+    });
+
+    // Settle order is non-decreasing in distance; reversed, it is the
+    // decreasing order with each equal-distance run backwards. Reversing
+    // the runs restores settle order within them, which is ascending id
+    // unless a zero-weight edge (or an addition absorbed by rounding,
+    // `d + w == d`) pushed a lower id into a run after a higher one had
+    // settled. The insertion pass fixes those few, at O(n) when nothing
+    // is out of place.
     *order_len = len;
     let order = &mut order[..len];
-    order.sort_unstable_by(|a, b| {
+    order.reverse();
+    let mut run = 0;
+    while run < len {
+        let d = dist[order[run].index()];
+        let mut end = run + 1;
+        while end < len && dist[order[end].index()] == d {
+            end += 1;
+        }
+        order[run..end].reverse();
+        run = end;
+    }
+    let before = |a: NodeId, b: NodeId| {
         dist[b.index()]
             .total_cmp(&dist[a.index()])
             .then_with(|| a.index().cmp(&b.index()))
-    });
-
-    // Path counts by increasing distance.
-    path_counts[..n].fill(0);
-    path_counts[target.index()] = 1;
-    for &u in order.iter().rev() {
-        if u == target {
-            continue;
+            .is_lt()
+    };
+    for i in 1..len {
+        let mut j = i;
+        while j > 0 && before(order[j], order[j - 1]) {
+            order.swap(j, j - 1);
+            j -= 1;
         }
-        let mut total = 0u64;
-        for &e in &succ[succ_off[u.index()]..succ_off[u.index() + 1]] {
-            total = total.saturating_add(path_counts[graph.target(e).index()]);
-        }
-        path_counts[u.index()] = total;
     }
 }
 
 /// Dijkstra toward `origin` over the in-edge CSR, writing distances into
 /// `dist`. Weights are assumed pre-validated. Relaxation order matches the
-/// legacy [`crate::distances_to`] exactly.
+/// legacy [`crate::distances_to`] exactly. `on_settle(u, dist[u], dist)`
+/// runs once per reachable node, in settle order, before `u`'s in-edges
+/// are relaxed; at that point every distance below `dist[u]` is final.
 fn dijkstra_csr(
     in_csr: &Csr,
     weights: &[f64],
     origin: NodeId,
     dist: &mut [f64],
     scratch: &mut SlotScratch,
+    mut on_settle: impl FnMut(NodeId, f64, &[f64]),
 ) {
     dist.fill(f64::INFINITY);
     scratch.settled.fill(false);
@@ -788,6 +802,7 @@ fn dijkstra_csr(
             continue;
         }
         scratch.settled[u.index()] = true;
+        on_settle(u, d, dist);
         for &(e, v) in in_csr.neighbors(u) {
             let nd = d + weights[e.index()];
             if nd < dist[v.index()] {
@@ -867,10 +882,12 @@ pub fn batch_distances_to(
         tasks
             .collect::<Vec<_>>()
             .into_par_iter()
-            .for_each(|((scratch, dist), &t)| dijkstra_csr(in_csr, weights, t, dist, scratch));
+            .for_each(|((scratch, dist), &t)| {
+                dijkstra_csr(in_csr, weights, t, dist, scratch, |_, _, _| {})
+            });
     } else {
         for ((scratch, dist), &t) in tasks {
-            dijkstra_csr(in_csr, weights, t, dist, scratch);
+            dijkstra_csr(in_csr, weights, t, dist, scratch, |_, _, _| {});
         }
     }
     Ok(())
@@ -930,7 +947,7 @@ mod tests {
         let serial = build_all(&g, &w, &dests, 0.1, Parallelism::Never);
         let parallel = build_all(&g, &w, &dests, 0.1, Parallelism::Always);
         assert_eq!(serial.dist, parallel.dist);
-        assert_eq!(serial.succ_off, parallel.succ_off);
+        assert_eq!(serial.succ_span, parallel.succ_span);
         assert_eq!(serial.succ, parallel.succ);
         assert_eq!(serial.order, parallel.order);
         assert_eq!(serial.path_counts, parallel.path_counts);

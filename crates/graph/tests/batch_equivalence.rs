@@ -10,6 +10,7 @@
 //! on the parallel schedule.
 
 use proptest::prelude::*;
+use spef_graph::batch::rebuild_dag_set_slots;
 use spef_graph::{
     batch_distances_to, build_dag_set, distances_to, Csr, DagSet, DistanceSet, Graph, NodeId,
     Parallelism, RoutingWorkspace, ShortestPathDag,
@@ -41,6 +42,75 @@ fn random_network() -> impl Strategy<Value = (Graph, Vec<f64>)> {
     })
 }
 
+/// Strategy: a digraph shaped like [`random_network`]'s on up to 23
+/// nodes, each edge weighted by `weight(coin, k, x)` from a draw of
+/// `coin` in `0..3`, `k` in `0..=3` and `x` in `[0, 1)`.
+fn tie_network(weight: fn(u32, u32, f64) -> f64) -> impl Strategy<Value = (Graph, Vec<f64>)> {
+    (3usize..24).prop_flat_map(move |n| {
+        (
+            Just(n),
+            (0usize..(n * 3))
+                .prop_flat_map(move |k| proptest::collection::vec((0..n, 0..n), k..=k)),
+            proptest::collection::vec((0u32..3, 0u32..=3, 0.0f64..1.0), n + n * 3),
+        )
+            .prop_map(move |(n, chords, draws)| {
+                let mut g = Graph::with_nodes(n);
+                for i in 0..n {
+                    g.add_edge(i.into(), ((i + 1) % n).into());
+                }
+                for (u, v) in chords {
+                    if u != v {
+                        g.add_edge(u.into(), v.into());
+                    }
+                }
+                let w = draws[..g.edge_count()]
+                    .iter()
+                    .map(|&(coin, k, x)| weight(coin, k, x))
+                    .collect();
+                (g, w)
+            })
+    })
+}
+
+/// Integer weights in `0..=3`: zero-weight edges and large equal-distance
+/// groups, so Dijkstra settles ties out of id order and the batched
+/// build's order fix-up has work to do.
+fn integer_weight(_: u32, k: u32, _: f64) -> f64 {
+    f64::from(k)
+}
+
+/// A mix of huge (`k · 1e16`) and tiny (`< 1`) weights. Past the first
+/// huge hop `d + w == d` for every tiny `w`, so whole subtrees collapse
+/// onto one distance through additions absorbed by rounding.
+fn huge_or_tiny_weight(coin: u32, k: u32, x: f64) -> f64 {
+    if coin == 0 {
+        f64::from(k + 1) * 1e16
+    } else {
+        x
+    }
+}
+
+/// Every observable of `set` equals [`ShortestPathDag::build`] bit for bit.
+fn check_against_legacy(g: &Graph, w: &[f64], set: &DagSet, tol: f64) {
+    for (i, &t) in set.destinations().iter().enumerate() {
+        let legacy = ShortestPathDag::build(g, w, t, tol).unwrap();
+        let view = set.dag(i);
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(view.distances()), bits(legacy.distances()));
+        assert_eq!(
+            view.nodes_by_decreasing_distance(),
+            legacy.nodes_by_decreasing_distance()
+        );
+        for u in g.nodes() {
+            assert_eq!(view.successors(u), legacy.successors(u));
+            assert_eq!(view.path_count(u), legacy.path_count(u));
+        }
+        for e in g.edge_ids() {
+            assert_eq!(view.contains_edge(e), legacy.contains_edge(e));
+        }
+    }
+}
+
 fn build_batched(g: &Graph, w: &[f64], dests: &[NodeId], tol: f64, par: Parallelism) -> DagSet {
     let csr = Csr::in_of(g);
     let mut ws = RoutingWorkspace::new();
@@ -59,23 +129,43 @@ proptest! {
     ) {
         let dests: Vec<NodeId> = g.nodes().collect();
         let set = build_batched(&g, &w, &dests, tol, Parallelism::Never);
-        for (i, &t) in dests.iter().enumerate() {
-            let legacy = ShortestPathDag::build(&g, &w, t, tol).unwrap();
-            let view = set.dag(i);
-            // Exact float equality: same relaxation order, same sums.
-            prop_assert_eq!(view.distances(), legacy.distances());
-            prop_assert_eq!(
-                view.nodes_by_decreasing_distance(),
-                legacy.nodes_by_decreasing_distance()
-            );
-            for u in g.nodes() {
-                prop_assert_eq!(view.successors(u), legacy.successors(u));
-                prop_assert_eq!(view.path_count(u), legacy.path_count(u));
-            }
-            for e in g.edge_ids() {
-                prop_assert_eq!(view.contains_edge(e), legacy.contains_edge(e));
-            }
-        }
+        check_against_legacy(&g, &w, &set, tol);
+    }
+
+    /// Zero-weight edges and integer ties: dense builds and in-place slot
+    /// rebuilds (over a warm arena holding another weight vector's
+    /// spans) both match the legacy DAG.
+    #[test]
+    fn integer_ties_are_bit_identical_to_legacy(
+        (g, w) in tie_network(integer_weight),
+        tol in prop_oneof![Just(0.0f64), Just(1.0f64), 0.0f64..2.0],
+    ) {
+        let dests: Vec<NodeId> = g.nodes().collect();
+        let set = build_batched(&g, &w, &dests, tol, Parallelism::Never);
+        check_against_legacy(&g, &w, &set, tol);
+
+        let w2: Vec<f64> = w.iter().rev().copied().collect();
+        let csr = Csr::in_of(&g);
+        let mut ws = RoutingWorkspace::new();
+        let mut warm = DagSet::new();
+        build_dag_set(&g, &csr, &w, &dests, tol, Parallelism::Never, &mut ws, &mut warm)
+            .unwrap();
+        let dirty = vec![true; dests.len()];
+        rebuild_dag_set_slots(&g, &csr, &w2, &dirty, Parallelism::Never, &mut ws, &mut warm)
+            .unwrap();
+        check_against_legacy(&g, &w2, &warm, tol);
+    }
+
+    /// Huge-plus-tiny weights, where `d + w == d`: absorbed additions
+    /// make equal-distance groups that Dijkstra settles out of id order.
+    #[test]
+    fn absorbed_additions_are_bit_identical_to_legacy(
+        (g, w) in tie_network(huge_or_tiny_weight),
+        tol in prop_oneof![Just(0.0f64), 0.0f64..2.0],
+    ) {
+        let dests: Vec<NodeId> = g.nodes().collect();
+        let set = build_batched(&g, &w, &dests, tol, Parallelism::Never);
+        check_against_legacy(&g, &w, &set, tol);
     }
 
     /// The materialised owned DAGs (what `spef_core::build_dags` returns)
