@@ -108,7 +108,7 @@ pub struct FtConfig {
     /// RNG seed for restart points and scan order.
     pub seed: u64,
     /// Force dense SPF rebuilds for every probe (default `false`: the
-    /// engine's delta-aware incremental path rebuilds only destinations
+    /// engine's delta-aware incremental path repairs only destinations
     /// the probed weight can affect — bit-identical results, so the
     /// search trajectory is unchanged; only wall clock differs).
     pub full_rebuild: bool,

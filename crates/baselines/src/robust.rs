@@ -60,7 +60,7 @@ pub struct RobustConfig {
     pub seed: u64,
     /// Force dense SPF rebuilds for every probe on every scenario
     /// (default `false`: each scenario engine's delta-aware incremental
-    /// path rebuilds only destinations the probed weight can affect —
+    /// path repairs only destinations the probed weight can affect —
     /// bit-identical results, unchanged search trajectory).
     pub full_rebuild: bool,
 }
@@ -189,13 +189,7 @@ impl RobustOutcome {
             let mut spf_stats = intact_engine.spf_stats();
             let mut arena_bytes = intact_engine.arena_bytes();
             for e in &engines {
-                let s = e.spf_stats();
-                spf_stats.builds += s.builds;
-                spf_stats.incremental_builds += s.incremental_builds;
-                spf_stats.slots_rebuilt += s.slots_rebuilt;
-                spf_stats.last_dirty = spf_stats.last_dirty.max(s.last_dirty);
-                spf_stats.topology_builds += s.topology_builds;
-                spf_stats.masked_links += s.masked_links;
+                spf_stats.accumulate(e.spf_stats());
                 arena_bytes += e.arena_bytes();
             }
             return Ok(RobustOutcome {

@@ -1011,11 +1011,8 @@ fn bench_topology_delta(c: &mut Criterion) {
     // A persistent MLU probe walked across every Abilene circuit: the
     // failure-sweep shape, one fail/route/restore round trip per circuit
     // with no topology clone. Probed with a varied (non-InvCap) weight
-    // vector: under InvCap at tolerance 0 Abilene's equal-cost ties make
-    // every circuit a member of most destination DAGs, so the >1/2-dirty
-    // gate always falls back to a dense masked rebuild; varied weights
-    // thin the DAGs and exercise the dirty-slot patches this lane
-    // witnesses. Bit-identity vs the per-circuit full-rebuild probe is
+    // vector, which thins the DAGs; every dirty slot is repaired in
+    // place. Bit-identity vs the per-circuit full-rebuild probe is
     // asserted in setup (and vs cold degraded topologies in
     // `reconfig::tests::mlu_probe_matches_degraded_free_function`).
     let w: Vec<f64> = (0..net.link_count())
@@ -1067,6 +1064,73 @@ fn bench_topology_delta(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_whatif_probe(c: &mut Criterion) {
+    // The whatif benchmark's query shapes on a warmed Hier200 engine: one
+    // iteration is a single-weight change routed (build + distribute,
+    // then the weight put back, as a rejected search step is) and one
+    // circuit failed, routed and restored. Both go through the local SPF
+    // repair; setup asserts it served them and prints its counters.
+    let net = gen::tiered_network("Tier200", 8, 4, 5, 0x7E2);
+    let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.04);
+    let dests = tm.destinations();
+    let max_cap = net.capacities().iter().cloned().fold(0.0, f64::max);
+    let mut w: Vec<f64> = net
+        .capacities()
+        .iter()
+        .map(|c| (max_cap / c).round().clamp(1.0, 20.0))
+        .collect();
+    let circuits: Vec<_> = net
+        .duplex_circuits()
+        .into_iter()
+        .filter(|c| net.without_links(c).is_ok())
+        .collect();
+    let links = net.link_count();
+    let mut engine = RoutingEngine::with_parallelism(net.graph(), Parallelism::Never);
+    engine.build_dags(&w, &dests, 0.0).expect("dags");
+    let mut flows = engine.distribute_fresh();
+    let mut k = 0usize;
+    let mut probe = |engine: &mut RoutingEngine<'_>, w: &mut Vec<f64>| {
+        let e = (k * 7) % links;
+        let old = w[e];
+        w[e] = 1.0 + ((old as usize + k) % 20) as f64;
+        engine.build_dags(w, &dests, 0.0).expect("dags");
+        engine
+            .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
+            .expect("routes");
+        w[e] = old;
+        let circuit = &circuits[k % circuits.len()];
+        engine.fail_links(circuit).expect("fail");
+        engine.build_dags(w, &dests, 0.0).expect("dags");
+        engine
+            .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
+            .expect("routes");
+        engine.restore_links(circuit).expect("restore");
+        k += 1;
+        flows.aggregate()[0]
+    };
+    for _ in 0..2 * circuits.len() {
+        probe(&mut engine, &mut w);
+    }
+    let stats = engine.spf_stats();
+    assert!(
+        stats.slots_repaired > 0 && stats.topology_builds > 0,
+        "the probes never took the local repair: {stats:?}"
+    );
+    eprintln!(
+        "whatif_probe_hier200 warm-up: {} builds ({} incremental, {} topology), \
+         {} slots repaired re-settling {} nodes, {} rebuilt",
+        stats.builds,
+        stats.incremental_builds,
+        stats.topology_builds,
+        stats.slots_repaired,
+        stats.nodes_resettled,
+        stats.slot_fallbacks
+    );
+    c.bench_function("whatif_probe_hier200", |b| {
+        b.iter(|| probe(&mut engine, &mut w))
+    });
+}
+
 criterion_group!(
     micro,
     bench_dijkstra_dag,
@@ -1080,6 +1144,7 @@ criterion_group!(
     bench_simplex_mlu,
     bench_incremental_spf,
     bench_topology_delta,
+    bench_whatif_probe,
     bench_simulator
 );
 criterion_main!(micro);

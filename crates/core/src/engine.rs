@@ -42,10 +42,16 @@
 //! * [`RoutingEngine::fail_links`]/[`RoutingEngine::restore_links`]
 //!   apply **topology deltas in place**: links are masked out of (or back
 //!   into) the CSR view and only the destinations whose cached DAG used —
-//!   or could newly use — a toggled link are rebuilt, bit-identical to a
+//!   or could newly use — a toggled link are repaired, bit-identical to a
 //!   cold engine over the degraded topology. Failure sweeps probe
 //!   thousands of (weights × failed-link) points; this keeps each probe
-//!   at dirty-set cost instead of a dense SPF batch.
+//!   at the cost of the few nodes it moves instead of a dense SPF batch.
+//!
+//! Both delta paths — weight changes in [`RoutingEngine::build_dags`]
+//! and mask toggles — go through one local SPF repair
+//! ([`spef_graph::batch::repair_dag_set`]), which re-settles only the
+//! nodes whose distance, successors, path count or position can change
+//! in each dirty DAG.
 //!
 //! ```
 //! use spef_core::{RoutingEngine, SplitRule};
@@ -70,8 +76,8 @@
 //! ```
 
 use spef_graph::batch::{
-    build_dag_set, build_dag_set_tiled, rebuild_dag_set_slots, validate_dag_inputs, DagSet,
-    Parallelism, RoutingWorkspace,
+    build_dag_set, build_dag_set_tiled, repair_dag_set, validate_dag_inputs, DagSet, EdgeChange,
+    Parallelism, RepairStats, RoutingWorkspace,
 };
 use spef_graph::{Csr, EdgeId, Graph, GraphError, NodeId};
 use spef_topology::TrafficMatrix;
@@ -86,11 +92,6 @@ use crate::SpefError;
 /// quarters of the edge weights changed — at that point the dirty scan
 /// costs as much as it could save.
 const INCR_MAX_CHANGED_QUARTERS: usize = 1;
-
-/// Incremental rebuilds give up (dense fallback) when more than half the
-/// destinations are dirty: a dense batch amortises better than per-slot
-/// bookkeeping once most slots rebuild anyway.
-const INCR_MAX_DIRTY_HALVES: usize = 1;
 
 /// Topology-delta rebuilds give up (dense fallback on the next build) when
 /// more than this many quarters of the links are masked out — a view that
@@ -117,9 +118,10 @@ pub struct SpfStats {
     pub builds: u64,
     /// Builds served by the incremental dirty-destination path.
     pub incremental_builds: u64,
-    /// Total destination slots re-run across all incremental and
-    /// topology-delta builds (`slots_rebuilt / (incremental_builds +
-    /// topology_builds)` = mean dirty set per probe).
+    /// Total dirty destination slots across all incremental and
+    /// topology-delta builds, repaired or rebuilt (`slots_rebuilt /
+    /// (incremental_builds + topology_builds)` = mean dirty set per
+    /// probe).
     pub slots_rebuilt: u64,
     /// Dirty-slot count of the most recent incremental or topology-delta
     /// build.
@@ -134,6 +136,31 @@ pub struct SpfStats {
     /// counter, not a gauge — see [`RoutingEngine::masked_links`] for the
     /// currently-masked count).
     pub masked_links: u64,
+    /// Dirty slots patched in place by the local SPF repair (each also
+    /// counts in `slots_rebuilt`).
+    pub slots_repaired: u64,
+    /// Nodes re-settled by the repairs' Dijkstra passes.
+    pub nodes_resettled: u64,
+    /// Dirty slots whose affected set covered more than half their
+    /// reachable nodes, so the repair rebuilt the slot from scratch (each
+    /// also counts in `slots_rebuilt`).
+    pub slot_fallbacks: u64,
+}
+
+impl SpfStats {
+    /// Adds `other`'s counters into `self`; `last_dirty`, a gauge, takes
+    /// the maximum (the most recent build is meaningless across engines).
+    pub fn accumulate(&mut self, other: SpfStats) {
+        self.builds += other.builds;
+        self.incremental_builds += other.incremental_builds;
+        self.slots_rebuilt += other.slots_rebuilt;
+        self.last_dirty = self.last_dirty.max(other.last_dirty);
+        self.topology_builds += other.topology_builds;
+        self.masked_links += other.masked_links;
+        self.slots_repaired += other.slots_repaired;
+        self.nodes_resettled += other.nodes_resettled;
+        self.slot_fallbacks += other.slot_fallbacks;
+    }
 }
 
 /// The detached, owned arenas of a [`RoutingEngine`]: everything the
@@ -165,10 +192,10 @@ pub struct EngineState {
     /// `true` forces dense rebuilds everywhere (the delta-aware
     /// incremental paths off). Default `false`: incremental on.
     full_rebuild_only: bool,
-    /// Changed-edge scratch of the weight diff: `(tail, head, old, new)`.
-    delta_scratch: Vec<(NodeId, NodeId, f64, f64)>,
-    /// Per-slot dirty flags of the incremental build in progress.
-    dirty: Vec<bool>,
+    /// Changed-edge scratch of the weight diff and the mask toggles.
+    changes: Vec<EdgeChange>,
+    /// Per-slot "DAG changed" flags of the repair in progress.
+    slot_changed: Vec<bool>,
     /// Slots whose DAG changed since the last successful untiled
     /// distribution (what the incremental distribution must refresh).
     pending: Vec<bool>,
@@ -182,8 +209,8 @@ pub struct EngineState {
     /// Bitwise copy of the exponential rule's weight vector (empty for
     /// even ECMP).
     last_rule_v: Vec<f64>,
-    /// Cached demand columns (`dests × nodes`) backing the bitwise
-    /// demand-change check of the incremental distribution.
+    /// Bitwise copy of the last distributed traffic matrix (row-major),
+    /// backing the demand-change check of the incremental distribution.
     demand_cache: Vec<f64>,
     demand_cache_valid: bool,
     /// Stamp of the `Flows` buffer the last successful untiled
@@ -194,6 +221,9 @@ pub struct EngineState {
     last_dirty: u64,
     topology_builds: u64,
     masked_links_total: u64,
+    slots_repaired: u64,
+    nodes_resettled: u64,
+    slot_fallbacks: u64,
     /// Scratch of [`RoutingEngine::fail_links`]/`restore_links`: the
     /// deduplicated subset of the requested links that actually toggles.
     toggle_scratch: Vec<EdgeId>,
@@ -236,6 +266,30 @@ impl EngineState {
             last_dirty: self.last_dirty,
             topology_builds: self.topology_builds,
             masked_links: self.masked_links_total,
+            slots_repaired: self.slots_repaired,
+            nodes_resettled: self.nodes_resettled,
+            slot_fallbacks: self.slot_fallbacks,
+        }
+    }
+
+    /// Books a finished repair: its counters, and the slots it changed
+    /// as pending for the next distribution.
+    fn note_repair(&mut self, stats: RepairStats) {
+        self.slots_rebuilt += stats.dirty;
+        self.last_dirty = stats.dirty;
+        self.slots_repaired += stats.repaired;
+        self.nodes_resettled += stats.resettled;
+        self.slot_fallbacks += stats.fallbacks;
+        if self.pending.len() == self.slot_changed.len() {
+            for (p, &changed) in self.pending.iter_mut().zip(&self.slot_changed) {
+                *p |= changed;
+            }
+        } else {
+            // No tracked pending set at this shape — `pending_all` is
+            // already forcing a dense distribution; just keep shape.
+            self.pending.clear();
+            self.pending.resize(self.slot_changed.len(), false);
+            self.pending_all = true;
         }
     }
 
@@ -380,14 +434,14 @@ impl<'g> RoutingEngine<'g> {
     /// is skipped outright — the retained DAG set is already the answer.
     ///
     /// When only a few weights changed (same destinations, same
-    /// tolerance), the **incremental path** rebuilds only the dirty
-    /// destination slots: a destination is dirty iff some changed edge
-    /// was on, or could join, its shortest-path DAG, decided from the
-    /// cached distance arrays of the previous build. Clean slots keep
-    /// their arenas untouched, so the resulting DAG set is bit-identical
-    /// to a dense rebuild (see `tests/incremental_equivalence.rs`). The
-    /// path falls back to a dense build when the change is too large or
-    /// the dirty set covers most destinations.
+    /// tolerance), the **incremental path** repairs only the dirty
+    /// destination slots in place: a destination is dirty iff some
+    /// changed edge was on, or could join, its shortest-path DAG, decided
+    /// from the cached distance arrays of the previous build, and a dirty
+    /// slot re-settles only the nodes the change can move. The resulting
+    /// DAG set is bit-identical to a dense rebuild (see
+    /// `tests/incremental_equivalence.rs`). The path falls back to a
+    /// dense build when more than a quarter of the weights changed.
     ///
     /// # Errors
     ///
@@ -441,8 +495,7 @@ impl<'g> RoutingEngine<'g> {
     }
 
     /// The delta path of [`build_dags`](Self::build_dags): diffs the
-    /// weights bit for bit, flags dirty destinations via the cached
-    /// distance arrays, and rebuilds only those slots in place. Returns
+    /// weights bit for bit and repairs the dirty slots in place. Returns
     /// `Ok(false)` when the change is too large to be worth it — the
     /// caller falls through to the dense build.
     ///
@@ -459,88 +512,38 @@ impl<'g> RoutingEngine<'g> {
         validate_dag_inputs(self.graph, weights, dests, tolerance)?;
         let s = &mut self.state;
         let m = self.graph.edge_count();
-        let d = dests.len();
-        s.delta_scratch.clear();
+        let csr = s.in_csr.as_ref().expect("attached engine has a CSR");
+        s.changes.clear();
         // Weight changes on masked links cannot affect the routed view;
         // skipping them keeps failure-time dirty sets small. The full
         // vector is still recorded below, so a later restore sees the
         // current weight.
-        let disabled = s
-            .in_csr
-            .as_ref()
-            .expect("attached engine has a CSR")
-            .disabled_edges();
-        for (e, u, v) in self.graph.edges() {
-            if !disabled.is_empty() && disabled[e.index()] {
-                continue;
-            }
+        for e in self.graph.edge_ids() {
             let old = s.last_weights[e.index()];
-            let new = weights[e.index()];
-            if old.to_bits() != new.to_bits() {
-                s.delta_scratch.push((u, v, old, new));
+            if csr.edge_enabled(e) && old.to_bits() != weights[e.index()].to_bits() {
+                s.changes.push(EdgeChange {
+                    edge: e,
+                    old_weight: old,
+                    was_enabled: true,
+                });
             }
         }
-        if s.delta_scratch.len() * 4 > m * INCR_MAX_CHANGED_QUARTERS {
+        if s.changes.len() * 4 > m * INCR_MAX_CHANGED_QUARTERS {
             return Ok(false);
         }
-        // A destination is dirty iff some changed edge was on — or, at
-        // the new weight, could join — its shortest-path DAG. Both are
-        // one slack test against the cached distances: edge (u,v) with
-        // weight w is on/joinable when `w + dist[v] - dist[u] <= tol`,
-        // the exact float association the DAG classifier uses, so a
-        // "clean" verdict provably reproduces the dense result bit for
-        // bit (slack > tol ≥ 0 means the edge loses every relaxation
-        // and classification it could enter, under old and new weight).
-        s.dirty.clear();
-        s.dirty.resize(d, false);
-        let mut dirty_count = 0usize;
-        for (i, flag) in s.dirty.iter_mut().enumerate() {
-            let dist = s.dags.dag(i).distances();
-            let is_dirty = s.delta_scratch.iter().any(|&(u, v, old, new)| {
-                let dv = dist[v.index()];
-                if !dv.is_finite() {
-                    // v cannot reach this destination; no weight value on
-                    // (u,v) changes reachability, distances or the DAG.
-                    return false;
-                }
-                let du = dist[u.index()];
-                // du = +inf makes both slacks -inf → dirty (defensive;
-                // cannot happen when dv is finite and the old weight was
-                // valid, since du ≤ old + dv).
-                !(old + dv - du > tolerance && new + dv - du > tolerance)
-            });
-            if is_dirty {
-                *flag = true;
-                dirty_count += 1;
-            }
-        }
-        if dirty_count * 2 > d * INCR_MAX_DIRTY_HALVES {
-            return Ok(false);
-        }
-        rebuild_dag_set_slots(
+        s.slot_changed.resize(dests.len(), false);
+        let stats = repair_dag_set(
             self.graph,
-            s.in_csr.as_ref().expect("attached engine has a CSR"),
+            csr,
             weights,
-            &s.dirty,
-            self.par,
+            &s.changes,
             &mut s.ws,
             &mut s.dags,
+            &mut s.slot_changed,
         )?;
         s.spf_builds += 1;
         s.incremental_builds += 1;
-        s.slots_rebuilt += dirty_count as u64;
-        s.last_dirty = dirty_count as u64;
-        if s.pending.len() == d {
-            for (p, &flag) in s.pending.iter_mut().zip(&s.dirty) {
-                *p |= flag;
-            }
-        } else {
-            // No tracked pending set at this shape — pending_all is
-            // already forcing a dense distribution; just keep shape.
-            s.pending.clear();
-            s.pending.resize(d, false);
-            s.pending_all = true;
-        }
+        s.note_repair(stats);
         s.last_weights.copy_from_slice(weights);
         s.dags_valid = true;
         Ok(true)
@@ -552,15 +555,17 @@ impl<'g> RoutingEngine<'g> {
     /// patches the cached DAG set so it stays bit-identical to a dense
     /// build over the degraded view under the cached weights.
     ///
-    /// A removed link dirties only the destinations whose cached DAG
-    /// contains it; clean slots keep their arenas untouched (a shortest
-    /// path that never used the link cannot change when it disappears).
-    /// Dirty slots rebuild in place via the PR 9 slot machinery. The call
+    /// A removed link dirties only the destinations for which the
+    /// one-slack test `w + dist[v] - dist[u] <= tol` holds against the
+    /// cached distances — every DAG edge, plus a tight zero-weight tie
+    /// the DAG leaves out but a distance may hang on; clean slots keep
+    /// their arenas untouched (a shortest path that never used the link
+    /// cannot change when it disappears). Dirty slots are repaired in
+    /// place (see [`build_dags`](Self::build_dags)). The call
     /// falls back to invalidating the fingerprint — so the next
     /// [`build_dags`](Self::build_dags) runs dense over the masked view —
     /// when there is no cached build to patch, incremental paths are off,
-    /// more than a quarter of the links are masked, or more than half the
-    /// destinations are dirty.
+    /// or more than a quarter of the links are masked.
     ///
     /// Masking is idempotent: already-masked links are skipped. The mask
     /// survives [`into_state`](Self::into_state)/[`with_state`]
@@ -572,7 +577,7 @@ impl<'g> RoutingEngine<'g> {
     /// # Errors
     ///
     /// [`GraphError::LinkOutOfRange`] if a link id is outside the graph;
-    /// the engine is unchanged. Errors from the slot rebuild invalidate
+    /// the engine is unchanged. Errors from the slot repair invalidate
     /// the fingerprint before propagating.
     pub fn fail_links(&mut self, links: &[EdgeId]) -> Result<(), GraphError> {
         self.set_links_enabled(links, false)
@@ -652,73 +657,34 @@ impl<'g> RoutingEngine<'g> {
             s.invalidate();
             return Ok(());
         }
-        // Classify dirty destinations against the cached build. Failing:
-        // a link off the cached DAG never carried a winning relaxation or
-        // classification, so removing it leaves distances and the DAG bit
-        // for bit. Restoring: slack strictly above the tolerance means the
-        // link still loses everywhere; `du = +inf` forces dirty (the link
-        // may create the destination's first path from `u`).
-        let d = s.last_dests.len();
-        s.dirty.clear();
-        s.dirty.resize(d, false);
-        let mut dirty_count = 0usize;
-        for (i, flag) in s.dirty.iter_mut().enumerate() {
-            let dag = s.dags.dag(i);
-            let is_dirty = if enabled {
-                let dist = dag.distances();
-                s.toggle_scratch.iter().any(|&e| {
-                    let dv = dist[self.graph.target(e).index()];
-                    if !dv.is_finite() {
-                        // The head cannot reach this destination, so the
-                        // link is dead weight either way.
-                        return false;
-                    }
-                    let du = dist[self.graph.source(e).index()];
-                    let w = s.last_weights[e.index()];
-                    // The classifier's slack test (`du = +inf` gives
-                    // `-inf <= tol`, forcing dirty as documented above).
-                    w + dv - du <= s.last_tolerance
-                })
-            } else {
-                s.toggle_scratch.iter().any(|&e| dag.contains_edge(e))
-            };
-            if is_dirty {
-                *flag = true;
-                dirty_count += 1;
-            }
-        }
-        if dirty_count * 2 > d * INCR_MAX_DIRTY_HALVES {
-            s.invalidate();
-            return Ok(());
-        }
-        s.topology_builds += 1;
-        s.last_dirty = dirty_count as u64;
-        if dirty_count == 0 {
-            return Ok(());
-        }
-        if let Err(e) = rebuild_dag_set_slots(
+        s.changes.clear();
+        s.changes
+            .extend(s.toggle_scratch.iter().map(|&e| EdgeChange {
+                edge: e,
+                old_weight: s.last_weights[e.index()],
+                was_enabled: !enabled,
+            }));
+        s.slot_changed.resize(s.last_dests.len(), false);
+        let stats = match repair_dag_set(
             self.graph,
             s.in_csr.as_ref().expect("attached engine has a CSR"),
             &s.last_weights,
-            &s.dirty,
-            self.par,
+            &s.changes,
             &mut s.ws,
             &mut s.dags,
+            &mut s.slot_changed,
         ) {
-            s.invalidate();
-            return Err(e);
-        }
-        s.spf_builds += 1;
-        s.slots_rebuilt += dirty_count as u64;
-        if s.pending.len() == d {
-            for (p, &flag) in s.pending.iter_mut().zip(&s.dirty) {
-                *p |= flag;
+            Ok(stats) => stats,
+            Err(e) => {
+                s.invalidate();
+                return Err(e);
             }
-        } else {
-            s.pending.clear();
-            s.pending.resize(d, false);
-            s.pending_all = true;
+        };
+        s.topology_builds += 1;
+        if stats.dirty > 0 {
+            s.spf_builds += 1;
         }
+        s.note_repair(stats);
         Ok(())
     }
 
@@ -807,15 +773,9 @@ impl<'g> RoutingEngine<'g> {
         out: &mut Flows,
     ) {
         let s = &mut self.state;
-        let n = self.graph.node_count();
-        let dests = s.dags.destinations();
-        let d = dests.len();
+        let d = s.dags.destinations().len();
         s.demand_cache.clear();
-        s.demand_cache.resize(d * n, 0.0);
-        for (i, &t) in dests.iter().enumerate() {
-            traffic.demands_to_into(t, &mut s.scratch.demands);
-            s.demand_cache[i * n..(i + 1) * n].copy_from_slice(&s.scratch.demands[..n]);
-        }
+        s.demand_cache.extend_from_slice(traffic.as_row_major());
         s.demand_cache_valid = true;
         match rule {
             SplitRule::EvenEcmp => {
@@ -874,38 +834,46 @@ impl<'g> RoutingEngine<'g> {
         // bit, but run the dense path's validation anyway so the error
         // surface is identical by construction.
         validate_rule(self.graph, rule)?;
+        let demands = traffic.as_row_major();
+        if demands.len() != s.demand_cache.len() {
+            return Ok(false);
+        }
         let n = self.graph.node_count();
+        let nt = traffic.node_count();
         let d = s.dags.destinations().len();
         debug_assert_eq!(s.pending.len(), d);
         debug_assert_eq!(s.tables.len(), d);
+        // One contiguous bitwise compare of the whole matrix; only when it
+        // differs are the destination columns compared one by one.
+        let demands_changed = demands
+            .iter()
+            .zip(&s.demand_cache)
+            .any(|(a, b)| a.to_bits() != b.to_bits());
         s.scratch.incoming.resize(n, 0.0);
         let (columns, aggregate) = out.parts_mut();
         debug_assert_eq!(columns.len(), d);
         for (i, col) in columns.iter_mut().enumerate() {
-            let t = s.dags.destinations()[i];
-            traffic.demands_to_into(t, &mut s.scratch.demands);
-            let row = &s.demand_cache[i * n..(i + 1) * n];
-            let demand_dirty = s.scratch.demands[..n]
-                .iter()
-                .zip(row)
-                .any(|(a, b)| a.to_bits() != b.to_bits());
-            let dag_dirty = s.pending[i];
-            if !demand_dirty && !dag_dirty {
+            let t = s.dags.destinations()[i].index();
+            let demand_dirty = demands_changed
+                && (0..nt).any(|src| {
+                    demands[src * nt + t].to_bits() != s.demand_cache[src * nt + t].to_bits()
+                });
+            if !demand_dirty && !s.pending[i] {
                 // Same DAG, same table, bit-identical demands: the cached
                 // column is exactly what the dense kernel would recompute
                 // (and its previous success proves no error either).
                 continue;
             }
             let dag = s.dags.dag(i);
-            if dag_dirty {
+            if s.pending[i] {
                 s.tables.rebuild_table(i, self.graph, &dag, rule);
             }
+            traffic.demands_to_into(dag.target(), &mut s.scratch.demands);
             col.fill(0.0);
-            let table = s.tables.table(i);
             if let Err(e) = distribute_one_into(
                 self.graph,
                 &dag,
-                table,
+                s.tables.table(i),
                 &s.scratch.demands,
                 &mut s.scratch.incoming,
                 col,
@@ -913,9 +881,9 @@ impl<'g> RoutingEngine<'g> {
                 s.drop_distribution_caches();
                 return Err(e);
             }
-            if demand_dirty {
-                s.demand_cache[i * n..(i + 1) * n].copy_from_slice(&s.scratch.demands[..n]);
-            }
+        }
+        if demands_changed {
+            s.demand_cache.copy_from_slice(demands);
         }
         // Re-fold the aggregate from every column in ascending
         // destination order — the same additions, in the same order, as
@@ -926,9 +894,7 @@ impl<'g> RoutingEngine<'g> {
                 *agg += f;
             }
         }
-        for p in s.pending.iter_mut() {
-            *p = false;
-        }
+        s.pending.fill(false);
         s.out_stamp = next_flow_stamp();
         out.set_stamp(s.out_stamp);
         Ok(true)

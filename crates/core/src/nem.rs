@@ -76,7 +76,8 @@ pub struct NemOutcome {
 ///
 /// # Errors
 ///
-/// * [`SpefError::InvalidInput`] on size mismatches,
+/// * [`SpefError::InvalidInput`] on size mismatches and on a target flow
+///   that is NaN, infinite or negative,
 /// * [`SpefError::UnroutableDemand`] if a demand pair has no path on its
 ///   DAG (can happen with aggressively rounded integer weights).
 #[deprecated(
@@ -118,6 +119,17 @@ pub(crate) fn solve_in(
             "target flow vector has length {}, expected {}",
             target_flows.len(),
             graph.edge_count()
+        )));
+    }
+    // Checked before the maximum: `f64::max` skips a NaN, and a NaN or
+    // infinite target would otherwise pass as converged at `v = 0`.
+    if let Some((e, f)) = target_flows
+        .iter()
+        .enumerate()
+        .find(|(_, f)| !f.is_finite() || **f < 0.0)
+    {
+        return Err(SpefError::InvalidInput(format!(
+            "target flow of edge e{e} is {f}"
         )));
     }
     let max_target = target_flows.iter().cloned().fold(0.0, f64::max);
@@ -408,6 +420,45 @@ mod tests {
             solve_second_weights(&g, &dags, &tm, &[0.0; 4], &NemConfig::default()),
             Err(SpefError::InvalidInput(_))
         ));
+    }
+
+    /// `target` with edge 1 of the diamond's target flows replaced.
+    fn diamond_target_with(bad: f64) -> Result<NemOutcome, SpefError> {
+        let (g, w) = diamond();
+        let mut tm = TrafficMatrix::new(4);
+        tm.set(0.into(), 3.into(), 1.0);
+        let dags = build_dags(&g, &w, &tm.destinations(), 0.0).unwrap();
+        let target = [0.5, bad, 0.5, 0.5];
+        solve_second_weights(&g, &dags, &tm, &target, &NemConfig::default())
+    }
+
+    #[test]
+    fn nan_target_flow_is_rejected() {
+        let err = diamond_target_with(f64::NAN).unwrap_err();
+        assert_eq!(
+            err,
+            SpefError::InvalidInput("target flow of edge e1 is NaN".into())
+        );
+    }
+
+    #[test]
+    fn infinite_target_flow_is_rejected() {
+        let err = diamond_target_with(f64::INFINITY).unwrap_err();
+        assert_eq!(
+            err,
+            SpefError::InvalidInput("target flow of edge e1 is inf".into())
+        );
+    }
+
+    #[test]
+    fn negative_target_flow_is_rejected() {
+        let err = diamond_target_with(-1.0).unwrap_err();
+        assert_eq!(
+            err,
+            SpefError::InvalidInput("target flow of edge e1 is -1".into())
+        );
+        // The boundary stays accepted: a zero target on one edge.
+        assert!(diamond_target_with(0.0).is_ok());
     }
 
     #[test]

@@ -1023,7 +1023,7 @@ impl TeWorkspace {
 
     /// Enables/disables the engine's delta-aware incremental rebuild
     /// paths for subsequent solves (enabled by default). After a small
-    /// weight delta, an incremental re-solve rebuilds only the dirty
+    /// weight delta, an incremental re-solve repairs only the dirty
     /// destinations' DAGs and split tables; results are bit-identical to
     /// dense rebuilds either way — only wall clock changes.
     pub fn set_incremental(&mut self, enabled: bool) {
@@ -1050,13 +1050,7 @@ impl TeWorkspace {
             .into_iter()
             .flatten()
         {
-            let s = engine.spf_stats();
-            total.builds += s.builds;
-            total.incremental_builds += s.incremental_builds;
-            total.slots_rebuilt += s.slots_rebuilt;
-            total.last_dirty = total.last_dirty.max(s.last_dirty);
-            total.topology_builds += s.topology_builds;
-            total.masked_links += s.masked_links;
+            total.accumulate(engine.spf_stats());
         }
         total
     }

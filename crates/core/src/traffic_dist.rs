@@ -189,21 +189,37 @@ impl SplitTable {
 pub struct SplitTableSet {
     n: usize,
     count: usize,
-    /// `(start, len)` into `entries` per `(dest, node)` — spans rather than
-    /// prefix offsets because rows are produced in decreasing-distance
-    /// order, not node-id order.
+    /// `(start, len)` per `(dest, node)`, relative to the destination's
+    /// block of `entries` — spans rather than prefix offsets because rows
+    /// are produced in decreasing-distance order, not node-id order, and
+    /// relative so a block moves without touching its spans.
     spans: Vec<(usize, usize)>,
+    /// `(start, len)` of each destination's block of rows in `entries`.
+    blocks: Vec<(usize, usize)>,
     entries: Vec<(EdgeId, f64)>,
     /// `log Z_t(u)` per `(dest, node)`.
     log_z: Vec<f64>,
-    /// Entry slots orphaned by in-place [`SplitTableSet::rebuild_table`]
-    /// calls (rebuilt rows append fresh entries and abandon the old ones).
-    /// Once garbage outweighs live entries the arena is compacted.
+    /// Entry slots no block covers: the tails of blocks that
+    /// [`SplitTableSet::rebuild_table`] rewrote shorter, and whole blocks
+    /// it moved to the end of the arena because they grew. Once garbage
+    /// exceeds a quarter of the live entries the arena is compacted,
+    /// which keeps its high-water mark near the dense build's.
     garbage: usize,
-    /// Reused scratch of [`SplitTableSet::compact`]: the live span
-    /// indices in arena order.
+    /// Reused scratch of [`SplitTableSet::compact`]: the destination
+    /// indices in arena order of their blocks.
     live: Vec<usize>,
+    /// Reused per-node scratch of [`SplitTableSet::rebuild_table`]
+    /// (`VISITED` / `Z_CHANGED` bits).
+    row_state: Vec<u8>,
+    /// Reused scratch of [`SplitTableSet::rebuild_table`]: one grown row
+    /// parked while its block moves.
+    row_buf: Vec<(EdgeId, f64)>,
 }
+
+/// [`SplitTableSet::rebuild_table`]: the node is reachable on the new DAG.
+const VISITED: u8 = 1;
+/// [`SplitTableSet::rebuild_table`]: the node's log path sum changed.
+const Z_CHANGED: u8 = 2;
 
 impl SplitTableSet {
     /// Creates an empty set; arenas grow on first use.
@@ -228,9 +244,10 @@ impl SplitTableSet {
     /// Panics if `i >= self.len()`.
     pub fn table(&self, i: usize) -> SplitTableRef<'_> {
         assert!(i < self.count, "table index {i} out of range");
+        let (start, len) = self.blocks[i];
         SplitTableRef {
             spans: &self.spans[i * self.n..(i + 1) * self.n],
-            entries: &self.entries,
+            entries: &self.entries[start..start + len],
             log_z: &self.log_z[i * self.n..(i + 1) * self.n],
         }
     }
@@ -239,6 +256,7 @@ impl SplitTableSet {
         self.n = n;
         self.count = 0;
         self.spans.clear();
+        self.blocks.clear();
         self.entries.clear();
         self.log_z.clear();
         self.garbage = 0;
@@ -248,10 +266,12 @@ impl SplitTableSet {
     /// length) — a high-water mark, since `Vec` capacity never shrinks
     /// across `reset` calls.
     pub fn arena_bytes(&self) -> usize {
-        self.spans.capacity() * std::mem::size_of::<(usize, usize)>()
+        (self.spans.capacity() + self.blocks.capacity()) * std::mem::size_of::<(usize, usize)>()
             + self.entries.capacity() * std::mem::size_of::<(EdgeId, f64)>()
             + self.log_z.capacity() * std::mem::size_of::<f64>()
             + self.live.capacity() * std::mem::size_of::<usize>()
+            + self.row_state.capacity()
+            + self.row_buf.capacity() * std::mem::size_of::<(EdgeId, f64)>()
     }
 
     /// Appends the split table of one destination DAG. Mirrors
@@ -263,17 +283,27 @@ impl SplitTableSet {
         let span_base = self.spans.len();
         self.spans.resize(span_base + n, (0, 0));
         self.log_z.resize(span_base + n, f64::NEG_INFINITY);
+        let start = self.entries.len();
         self.build_block(self.count, graph, dag, rule);
+        self.blocks.push((start, self.entries.len() - start));
         self.count += 1;
     }
 
     /// Rebuilds destination `i`'s split table **in place** against its
-    /// (freshly rebuilt) DAG — the delta step of the incremental
-    /// distribution path. The old rows become arena garbage; new entries
-    /// are appended and the arena compacts once garbage outweighs live
-    /// rows. Row values are produced by the exact operation sequence of
-    /// [`SplitTableSet::push_table`], so a rebuilt table is bit-identical
-    /// to a dense rebuild of the whole set.
+    /// (freshly repaired) DAG — the delta step of the incremental
+    /// distribution path. A node's row is a function of its successor
+    /// list and its successors' log path sums, so walking the DAG in
+    /// increasing distance, a row whose successors are unchanged and
+    /// whose successors' log path sums are bit-identical is kept as it
+    /// is; only the rest are recomputed. A recomputed row overwrites its
+    /// old one when it fits. Otherwise the destination's block moves to
+    /// the end of the arena (packed, leaving the old block as garbage) and
+    /// grown rows are appended behind it. The arena compacts once garbage
+    /// exceeds a quarter of the live rows, and before a move that would
+    /// otherwise grow it. Recomputed rows
+    /// run the exact operation
+    /// sequence of [`SplitTableSet::push_table`], so a rebuilt table is
+    /// bit-identical to a dense rebuild of the whole set.
     ///
     /// # Panics
     ///
@@ -287,45 +317,126 @@ impl SplitTableSet {
     ) {
         assert!(i < self.count, "table index {i} out of range");
         let n = self.n;
-        let base = i * n;
-        let mut freed = 0usize;
-        for span in &mut self.spans[base..base + n] {
-            freed += span.1;
-            *span = (0, 0);
+        let span_base = i * n;
+        let (mut block, mut block_len) = self.blocks[i];
+        let mut moved = false;
+        self.row_state.clear();
+        self.row_state.resize(n, 0);
+        let target = dag.dag_target();
+        for &u in dag.dag_order_desc().iter().rev() {
+            self.row_state[u.index()] = VISITED;
+            if u == target {
+                continue;
+            }
+            let succ = dag.dag_successors(u);
+            let (row, len) = self.spans[span_base + u.index()];
+            let kept = len > 0
+                && len == succ.len()
+                && self.entries[block + row..block + row + len]
+                    .iter()
+                    .zip(succ)
+                    .all(|(&(e, _), &s)| e == s)
+                && succ
+                    .iter()
+                    .all(|&e| self.row_state[graph.target(e).index()] & Z_CHANGED == 0);
+            if kept {
+                continue;
+            }
+            let old_lz = self.log_z[span_base + u.index()];
+            self.log_z[span_base + u.index()] = f64::NEG_INFINITY;
+            let at = self.entries.len();
+            let new_len = self.push_row(span_base, graph, u, succ, rule);
+            if self.log_z[span_base + u.index()].to_bits() != old_lz.to_bits() {
+                self.row_state[u.index()] |= Z_CHANGED;
+            }
+            let new_row = if new_len == 0 {
+                0
+            } else if new_len <= len {
+                self.entries.copy_within(at.., block + row);
+                self.entries.truncate(at);
+                row
+            } else if moved {
+                at - block
+            } else {
+                // Park the row, move the block behind it, then append the
+                // row to the moved block.
+                self.row_buf.clear();
+                self.row_buf.extend_from_slice(&self.entries[at..]);
+                self.entries.truncate(at);
+                self.spans[span_base + u.index()] = (0, 0);
+                // Reclaim the garbage rather than grow the arena for the
+                // move (the block's own start moves with the compaction).
+                if self.garbage > 0
+                    && self.entries.len() + block_len + new_len > self.entries.capacity()
+                {
+                    self.compact();
+                    block = self.blocks[i].0;
+                }
+                self.garbage += block_len;
+                (block, block_len) = self.move_block(span_base, block);
+                moved = true;
+                self.entries.extend_from_slice(&self.row_buf);
+                block_len
+            };
+            if moved {
+                block_len = self.entries.len() - block;
+            }
+            self.spans[span_base + u.index()] = (new_row, new_len);
         }
-        self.garbage += freed;
-        for z in &mut self.log_z[base..base + n] {
-            *z = f64::NEG_INFINITY;
+        // Nodes that no longer reach the target keep no row.
+        for (u, &state) in self.row_state.iter().enumerate() {
+            if state == 0 {
+                self.spans[span_base + u] = (0, 0);
+                self.log_z[span_base + u] = f64::NEG_INFINITY;
+            }
         }
-        self.build_block(i, graph, dag, rule);
-        if self.garbage > self.entries.len() - self.garbage {
+        self.blocks[i] = (block, block_len);
+        if self.garbage * 4 > self.entries.len() - self.garbage {
             self.compact();
         }
     }
 
-    /// Left-compacts the live entry spans (in arena order, preserving
-    /// every row's contents and relative layout) and drops the garbage.
+    /// Copies every row of the block at `block` (spans at `span_base`) to
+    /// the end of the arena, packed in node order, and repoints the
+    /// spans; returns the new block's `(start, len)`.
+    fn move_block(&mut self, span_base: usize, block: usize) -> (usize, usize) {
+        let start = self.entries.len();
+        for span in &mut self.spans[span_base..span_base + self.n] {
+            let (row, len) = *span;
+            if len > 0 {
+                let at = self.entries.len();
+                self.entries
+                    .extend_from_within(block + row..block + row + len);
+                *span = (at - start, len);
+            }
+        }
+        (start, self.entries.len() - start)
+    }
+
+    /// Left-compacts the destination blocks (in arena order, each block's
+    /// rows moved as one piece, so the block-relative spans stay valid)
+    /// and drops the garbage: `O(entries)` moves plus a sort of the block
+    /// starts.
     fn compact(&mut self) {
-        let spans = &self.spans;
+        let blocks = &self.blocks;
         self.live.clear();
-        self.live
-            .extend((0..spans.len()).filter(|&s| spans[s].1 > 0));
-        self.live.sort_unstable_by_key(|&s| spans[s].0);
+        self.live.extend(0..self.count);
+        self.live.sort_unstable_by_key(|&i| blocks[i].0);
         let mut write = 0usize;
-        for &s in &self.live {
-            let (start, len) = self.spans[s];
+        for &i in &self.live {
+            let (start, len) = self.blocks[i];
             self.entries.copy_within(start..start + len, write);
-            self.spans[s] = (write, len);
+            self.blocks[i] = (write, len);
             write += len;
         }
         self.entries.truncate(write);
         self.garbage = 0;
     }
 
-    /// The shared row-construction body of [`SplitTableSet::push_table`]
-    /// and [`SplitTableSet::rebuild_table`]: fills block `block`'s spans
-    /// and log-Z slots (which must already be cleared) by appending entry
-    /// rows, mirroring [`SplitTable::build`] operation for operation.
+    /// The row-construction body of [`SplitTableSet::push_table`]: fills
+    /// block `block`'s spans and log-Z slots (which must already be
+    /// cleared) by appending entry rows to the arena, mirroring
+    /// [`SplitTable::build`] operation for operation.
     fn build_block<D: DagAccess>(
         &mut self,
         block: usize,
@@ -334,62 +445,80 @@ impl SplitTableSet {
         rule: SplitRule<'_>,
     ) {
         let span_base = block * self.n;
-        let lz_base = span_base;
+        let start = self.entries.len();
         let target = dag.dag_target();
-        self.log_z[lz_base + target.index()] = 0.0;
-
+        self.log_z[span_base + target.index()] = 0.0;
         for &u in dag.dag_order_desc().iter().rev() {
-            if u == target {
-                continue;
-            }
-            let succ = dag.dag_successors(u);
-            let term = |e: EdgeId| {
-                let v_e = match rule {
-                    SplitRule::EvenEcmp => 0.0,
-                    SplitRule::Exponential(v) => v[e.index()],
-                };
-                -v_e + self.log_z[lz_base + graph.target(e).index()]
-            };
-            let start = self.entries.len();
-            if let &[e] = succ {
-                // One next hop: the softmax of a single finite term `t` is
-                // `exp(t − t) = 1`, so log Z = t + ln 1 = t + 0.0 (which
-                // also maps a −0.0 term to +0.0) and the ratio is exactly
-                // 1.0 — the general path's values, without `exp`/`ln`.
-                let t = term(e);
-                if t == f64::NEG_INFINITY {
-                    continue; // stranded successor
+            if u != target {
+                let at = self.entries.len();
+                let len = self.push_row(span_base, graph, u, dag.dag_successors(u), rule);
+                if len > 0 {
+                    self.spans[span_base + u.index()] = (at - start, len);
                 }
-                self.log_z[lz_base + u.index()] = t + 0.0;
-                self.entries.push((e, 1.0));
-                self.spans[span_base + u.index()] = (start, 1);
-                continue;
             }
-            if succ.is_empty() {
-                continue;
-            }
-            for &e in succ {
-                self.entries.push((e, term(e)));
-            }
-            let max_term = self.entries[start..]
-                .iter()
-                .map(|&(_, t)| t)
-                .fold(f64::NEG_INFINITY, f64::max);
-            if max_term == f64::NEG_INFINITY {
-                self.entries.truncate(start);
-                continue; // all successors stranded
-            }
-            let sum_exp: f64 = self.entries[start..]
-                .iter()
-                .map(|&(_, t)| (t - max_term).exp())
-                .sum();
-            let lz = max_term + sum_exp.ln();
-            self.log_z[lz_base + u.index()] = lz;
-            for slot in &mut self.entries[start..] {
-                slot.1 = (slot.1 - lz).exp();
-            }
-            self.spans[span_base + u.index()] = (start, succ.len());
         }
+    }
+
+    /// Appends node `u`'s row over its DAG successors `succ` to the arena
+    /// and sets its log path sum (its log-Z slot must be cleared and its
+    /// successors' final); returns the row length, 0 for a node with no
+    /// live next hop.
+    // Forced inline: the per-row kernel of every dense table build; as an
+    // out-of-line call it cost about a tenth of the build.
+    #[inline(always)]
+    fn push_row(
+        &mut self,
+        span_base: usize,
+        graph: &Graph,
+        u: NodeId,
+        succ: &[EdgeId],
+        rule: SplitRule<'_>,
+    ) -> usize {
+        let term = |e: EdgeId| {
+            let v_e = match rule {
+                SplitRule::EvenEcmp => 0.0,
+                SplitRule::Exponential(v) => v[e.index()],
+            };
+            -v_e + self.log_z[span_base + graph.target(e).index()]
+        };
+        let start = self.entries.len();
+        if let &[e] = succ {
+            // One next hop: the softmax of a single finite term `t` is
+            // `exp(t − t) = 1`, so log Z = t + ln 1 = t + 0.0 (which also
+            // maps a −0.0 term to +0.0) and the ratio is exactly 1.0 —
+            // the general path's values, without `exp`/`ln`.
+            let t = term(e);
+            if t == f64::NEG_INFINITY {
+                return 0; // stranded successor
+            }
+            self.log_z[span_base + u.index()] = t + 0.0;
+            self.entries.push((e, 1.0));
+            return 1;
+        }
+        if succ.is_empty() {
+            return 0;
+        }
+        for &e in succ {
+            self.entries.push((e, term(e)));
+        }
+        let max_term = self.entries[start..]
+            .iter()
+            .map(|&(_, t)| t)
+            .fold(f64::NEG_INFINITY, f64::max);
+        if max_term == f64::NEG_INFINITY {
+            self.entries.truncate(start);
+            return 0; // all successors stranded
+        }
+        let sum_exp: f64 = self.entries[start..]
+            .iter()
+            .map(|&(_, t)| (t - max_term).exp())
+            .sum();
+        let lz = max_term + sum_exp.ln();
+        self.log_z[span_base + u.index()] = lz;
+        for slot in &mut self.entries[start..] {
+            slot.1 = (slot.1 - lz).exp();
+        }
+        succ.len()
     }
 }
 
@@ -1282,6 +1411,61 @@ mod tests {
         let inf = SplitRule::Exponential(&second[1]);
         let table = SplitTable::build(&g, &dag, inf).unwrap();
         assert!(table.next_hops(1.into()).is_empty());
+    }
+
+    #[test]
+    fn rebuilt_tables_match_fresh_ones_as_rows_grow_and_shrink() {
+        // Two diamonds in a row: 0 -> {1, 2} -> 3 -> {4, 5} -> 6. Under
+        // `even` weights nodes 0 and 3 have two equal-cost next hops,
+        // under `skewed` one each, so alternating the two makes rebuilt
+        // rows shrink in place, then grow (moving the block to the end of
+        // the arena), and the garbage forces compactions.
+        let mut g = Graph::with_nodes(7);
+        for (u, v) in [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (3, 4),
+            (3, 5),
+            (4, 6),
+            (5, 6),
+        ] {
+            g.add_edge(u.into(), v.into());
+        }
+        let n = g.node_count();
+        let even = vec![1.0; 8];
+        let skewed = vec![1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0];
+        let dests = [NodeId::new(6), NodeId::new(3)];
+        let v = [0.1, 0.7, 0.0, 0.3, 0.2, 0.0, 0.5, 0.4];
+        for rule in [SplitRule::EvenEcmp, SplitRule::Exponential(&v)] {
+            let mut set = SplitTableSet::new();
+            set.reset(n);
+            for dag in build_dags(&g, &even, &dests, 0.0).unwrap() {
+                set.push_table(&g, &dag, rule);
+            }
+            for round in 0..9 {
+                let w = if round % 2 == 0 { &skewed } else { &even };
+                let dags = build_dags(&g, w, &dests, 0.0).unwrap();
+                let mut fresh = 0;
+                for (i, dag) in dags.iter().enumerate() {
+                    set.rebuild_table(i, &g, dag, rule);
+                    let reference = SplitTable::build(&g, dag, rule).unwrap();
+                    let got = SplitTable::from_ref(set.table(i), n);
+                    assert_eq!(row_bits(&got, n), row_bits(&reference, n), "round {round}");
+                    fresh += (0..n)
+                        .map(|u| reference.next_hops(u.into()).len())
+                        .sum::<usize>();
+                }
+                // Compaction keeps the arena within twice the live rows
+                // plus one moved block.
+                assert!(
+                    set.entries.len() <= 3 * fresh,
+                    "arena grew to {}",
+                    set.entries.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! The incremental-SPF determinism contract: a persistent engine fed a
-//! sequence of weight deltas (single- and multi-edge), demand swaps and
-//! interleaved tiled runs produces DAGs and flows **bit-identical** to a
-//! cold dense engine rebuilt from scratch at every step — for every tile
-//! size, across cold-fallback boundaries (detach/re-attach, `invalidate`,
-//! destination and tolerance changes), and through `TeWorkspace`
-//! sessions with `clear_solutions` in between.
+//! sequence of weight deltas (single- and multi-edge, zero weights
+//! included), demand swaps and interleaved tiled runs produces DAGs and
+//! flows **bit-identical** to a cold dense engine rebuilt from scratch at
+//! every step — for every tile size, across cold-fallback boundaries
+//! (detach/re-attach, `invalidate`, destination and tolerance changes),
+//! and through `TeWorkspace` sessions with `clear_solutions` in between.
+//! Every delta script ends with a step the local SPF repair must serve,
+//! and the properties check that it did.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use spef_core::{
-    ConvergenceCriteria, FrankWolfeConfig, Objective, RoutingEngine, SplitRule, TeInstance,
-    TeSolver, TeWorkspace,
+    ConvergenceCriteria, FrankWolfeConfig, Objective, RoutingEngine, SpefError, SplitRule,
+    TeInstance, TeSolver, TeWorkspace,
 };
 use spef_graph::NodeId;
 use spef_topology::{gen, TrafficMatrix};
@@ -22,14 +24,15 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Strategy: a small random duplex network, a demand set, and a delta
-/// script — per step, one to three `(edge, weight)` overwrites (most
-/// steps are single-edge, the weight-search shape).
+/// Strategy: a random duplex network of 4 to 24 nodes, a demand set, and
+/// a delta script — per step, one to four `(edge, weight)` overwrites
+/// with weights from 0 (most steps are single-edge, the weight-search
+/// shape; multi-edge steps mix increases and decreases).
 #[allow(clippy::type_complexity)]
 fn random_instance(
 ) -> impl Strategy<Value = (spef_topology::Network, TrafficMatrix, Vec<Vec<(usize, u8)>>)> {
-    let step = pvec((0usize..1 << 20, 1u8..40), 1..4);
-    (4usize..10, 0u64..5000, 2usize..6, pvec(step, 3..8)).prop_map(|(n, seed, pairs, script)| {
+    let step = pvec((0usize..1 << 20, 0u8..40), 1..5);
+    (4usize..25, 0u64..5000, 2usize..6, pvec(step, 3..8)).prop_map(|(n, seed, pairs, script)| {
         let links = 2 * (n - 1) + 2 * (n / 2);
         let net = gen::random_network("incr", n, links, seed);
         let mut tm = TrafficMatrix::new(n);
@@ -56,21 +59,24 @@ fn cold_flows(
     w: &[f64],
     tol: f64,
     rule: SplitRule<'_>,
-) -> spef_core::Flows {
+) -> Result<spef_core::Flows, SpefError> {
     let mut engine = RoutingEngine::new(net.graph());
     engine.set_incremental(false);
     engine.build_dags(w, dests, tol).unwrap();
     let mut out = engine.distribute_fresh();
-    engine.distribute_into(tm, rule, &mut out).unwrap();
-    out
+    engine.distribute_into(tm, rule, &mut out)?;
+    Ok(out)
 }
 
-/// Asserts `flows` equals the cold dense reference bit for bit, per
-/// destination and in aggregate, and that the persistent engine's DAG
-/// distances match a cold build's.
+/// Asserts the persistent engine's step — `routed`, the result of its
+/// distribution into `flows` — equals the cold dense reference: the same
+/// error (zero-weight ties can strand a source), or flows bit for bit per
+/// destination and in aggregate; and that every DAG observable matches a
+/// cold build's.
 #[allow(clippy::too_many_arguments)]
 fn assert_step_matches(
     engine: &RoutingEngine<'_>,
+    routed: &Result<(), SpefError>,
     flows: &spef_core::Flows,
     net: &spef_topology::Network,
     tm: &TrafficMatrix,
@@ -79,23 +85,84 @@ fn assert_step_matches(
     tol: f64,
     rule: SplitRule<'_>,
 ) -> Result<(), TestCaseError> {
-    let cold = cold_flows(net, tm, dests, w, tol, rule);
-    prop_assert!(bits_eq(flows.aggregate(), cold.aggregate()));
-    for &t in dests {
-        prop_assert!(bits_eq(
-            flows.for_destination(t).unwrap(),
-            cold.for_destination(t).unwrap()
-        ));
+    match (routed, cold_flows(net, tm, dests, w, tol, rule)) {
+        (Ok(()), Ok(cold)) => {
+            prop_assert!(bits_eq(flows.aggregate(), cold.aggregate()));
+            for &t in dests {
+                prop_assert!(bits_eq(
+                    flows.for_destination(t).unwrap(),
+                    cold.for_destination(t).unwrap()
+                ));
+            }
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a, &b),
+        (a, b) => prop_assert!(false, "engine routed {a:?}, cold engine {b:?}"),
     }
     let mut cold_engine = RoutingEngine::new(net.graph());
     cold_engine.set_incremental(false);
     cold_engine.build_dags(w, dests, tol).unwrap();
     for i in 0..dests.len() {
-        prop_assert!(bits_eq(
-            engine.dag_set().dag(i).distances(),
-            cold_engine.dag_set().dag(i).distances()
-        ));
+        let (a, b) = (engine.dag_set().dag(i), cold_engine.dag_set().dag(i));
+        prop_assert!(bits_eq(a.distances(), b.distances()));
+        prop_assert_eq!(
+            a.nodes_by_decreasing_distance(),
+            b.nodes_by_decreasing_distance()
+        );
+        for u in net.graph().nodes() {
+            prop_assert_eq!(a.successors(u), b.successors(u));
+            prop_assert_eq!(a.path_count(u), b.path_count(u));
+        }
     }
+    Ok(())
+}
+
+/// Halves the weight of one positive-weight edge on some cached DAG — a
+/// single-edge decrease the local SPF repair must serve without a
+/// fallback (a cheaper edge leaves no node unsupported). Returns `false`
+/// when every DAG edge already weighs zero.
+fn halve_a_dag_edge(engine: &RoutingEngine<'_>, w: &mut [f64]) -> bool {
+    let set = engine.dag_set();
+    let edge = set.iter().find_map(|dag| {
+        engine
+            .graph()
+            .edge_ids()
+            .find(|&e| dag.contains_edge(e) && w[e.index()] > 0.0)
+    });
+    match edge {
+        Some(e) => {
+            w[e.index()] *= 0.5;
+            true
+        }
+        None => false,
+    }
+}
+
+/// Runs the repair-served closing step of a script: halves a DAG edge,
+/// routes, checks the step against the cold reference, and asserts the
+/// repair counter moved.
+#[allow(clippy::too_many_arguments)]
+fn closing_repair_step(
+    engine: &mut RoutingEngine<'_>,
+    flows: &mut spef_core::Flows,
+    net: &spef_topology::Network,
+    tm: &TrafficMatrix,
+    dests: &[NodeId],
+    w: &mut [f64],
+    tol: f64,
+    rule: SplitRule<'_>,
+) -> Result<(), TestCaseError> {
+    let before = engine.spf_stats().slots_repaired;
+    if !halve_a_dag_edge(engine, w) {
+        return Ok(());
+    }
+    engine.build_dags(w, dests, tol).unwrap();
+    let routed = engine.distribute_into(tm, rule, flows);
+    assert_step_matches(engine, &routed, flows, net, tm, dests, w, tol, rule)?;
+    prop_assert!(
+        engine.spf_stats().slots_repaired > before,
+        "the closing decrease was not repaired: {:?}",
+        engine.spf_stats()
+    );
     Ok(())
 }
 
@@ -106,17 +173,21 @@ proptest! {
     /// script matches a cold dense rebuild at every step, under both
     /// split rules and with a mid-script demand swap.
     #[test]
-    fn delta_sequences_match_cold_dense((net, tm, script) in random_instance()) {
+    fn delta_sequences_match_cold_dense(
+        (net, tm, script) in random_instance(),
+        tol in prop_oneof![Just(0.0), Just(0.3)],
+    ) {
         let m = net.link_count();
         let dests = tm.destinations();
         let tm_hi = tm.scaled(1.3);
         let v: Vec<f64> = (0..m).map(|e| ((e * 7) % 5) as f64 * 0.31).collect();
-        let mut w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
+        let invcap: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
 
         for rule in [SplitRule::EvenEcmp, SplitRule::Exponential(&v)] {
+            let mut w = invcap.clone();
             let mut engine = RoutingEngine::new(net.graph());
             let mut flows = engine.distribute_fresh();
-            engine.build_dags(&w, &dests, 0.0).unwrap();
+            engine.build_dags(&w, &dests, tol).unwrap();
             engine.distribute_into(&tm, rule, &mut flows).unwrap();
             for (k, step) in script.iter().enumerate() {
                 for &(raw_e, raw_w) in step {
@@ -125,11 +196,14 @@ proptest! {
                 // Alternate the demand matrix so demand-dirty columns are
                 // exercised with both clean and dirty DAG slots.
                 let demand = if k % 2 == 0 { &tm } else { &tm_hi };
-                engine.build_dags(&w, &dests, 0.0).unwrap();
-                engine.distribute_into(demand, rule, &mut flows).unwrap();
-                assert_step_matches(&engine, &flows, &net, demand, &dests, &w, 0.0, rule)?;
+                engine.build_dags(&w, &dests, tol).unwrap();
+                let routed = engine.distribute_into(demand, rule, &mut flows);
+                assert_step_matches(&engine, &routed, &flows, &net, demand, &dests, &w, tol, rule)?;
             }
-            prop_assert!(engine.spf_stats().builds >= engine.spf_stats().incremental_builds);
+            closing_repair_step(&mut engine, &mut flows, &net, &tm, &dests, &mut w, tol, rule)?;
+            let stats = engine.spf_stats();
+            prop_assert!(stats.builds >= stats.incremental_builds);
+            prop_assert_eq!(stats.slots_repaired + stats.slot_fallbacks, stats.slots_rebuilt);
         }
     }
 
@@ -154,11 +228,14 @@ proptest! {
                 w[raw_e % m] = 1.0 + (raw_w % 5) as f64 * 0.25;
             }
             engine.build_dags(&w, &dests, tol).unwrap();
-            engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
+            let routed = engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows);
             assert_step_matches(
-                &engine, &flows, &net, &tm, &dests, &w, tol, SplitRule::EvenEcmp,
+                &engine, &routed, &flows, &net, &tm, &dests, &w, tol, SplitRule::EvenEcmp,
             )?;
         }
+        closing_repair_step(
+            &mut engine, &mut flows, &net, &tm, &dests, &mut w, tol, SplitRule::EvenEcmp,
+        )?;
     }
 
     /// Interleaved tiled runs (tile sizes 1, 3 and dense) neither corrupt
@@ -184,23 +261,28 @@ proptest! {
             }
             // Tiled detour into a separate buffer (the untiled buffer's
             // stamp survives and the next incremental call may fire).
-            if let Some(t) = tile {
-                engine
-                    .distribute_tiled(
-                        &w, &dests, 0.0, &tm, SplitRule::EvenEcmp, t, true,
-                        &mut tiled_out, |_, _, _, _| Ok(()),
-                    )
-                    .unwrap();
-            }
+            let tile: Option<usize> = tile;
+            let tiled = tile.map(|t| {
+                engine.distribute_tiled(
+                    &w, &dests, 0.0, &tm, SplitRule::EvenEcmp, t, true,
+                    &mut tiled_out, |_, _, _, _| Ok(()),
+                )
+            });
             engine.build_dags(&w, &dests, 0.0).unwrap();
-            engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
-            if tile.is_some() {
-                prop_assert!(bits_eq(tiled_out.aggregate(), flows.aggregate()));
+            let routed = engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows);
+            if let Some(tiled) = tiled {
+                prop_assert_eq!(&tiled, &routed);
+                if routed.is_ok() {
+                    prop_assert!(bits_eq(tiled_out.aggregate(), flows.aggregate()));
+                }
             }
             assert_step_matches(
-                &engine, &flows, &net, &tm, &dests, &w, 0.0, SplitRule::EvenEcmp,
+                &engine, &routed, &flows, &net, &tm, &dests, &w, 0.0, SplitRule::EvenEcmp,
             )?;
         }
+        closing_repair_step(
+            &mut engine, &mut flows, &net, &tm, &dests, &mut w, 0.0, SplitRule::EvenEcmp,
+        )?;
     }
 
     /// Cold-fallback boundaries: `invalidate`, a detach/re-attach round
@@ -243,20 +325,23 @@ proptest! {
                 }
             }
             engine.build_dags(&w, &dests, 0.0).unwrap();
-            engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
+            let routed = engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows);
             assert_step_matches(
-                &engine, &flows, &net, &tm, &dests, &w, 0.0, SplitRule::EvenEcmp,
+                &engine, &routed, &flows, &net, &tm, &dests, &w, 0.0, SplitRule::EvenEcmp,
             )?;
         }
         // Destination-set shrink and restore across the same engine.
         if dests.len() > 1 {
             engine.build_dags(&w, &dests[..1], 0.0).unwrap();
             engine.build_dags(&w, &dests, 0.0).unwrap();
-            engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
+            let routed = engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows);
             assert_step_matches(
-                &engine, &flows, &net, &tm, &dests, &w, 0.0, SplitRule::EvenEcmp,
+                &engine, &routed, &flows, &net, &tm, &dests, &w, 0.0, SplitRule::EvenEcmp,
             )?;
         }
+        closing_repair_step(
+            &mut engine, &mut flows, &net, &tm, &dests, &mut w, 0.0, SplitRule::EvenEcmp,
+        )?;
     }
 
     /// `TeWorkspace` exposure: warm Frank–Wolfe re-solves on an

@@ -4,12 +4,14 @@
 //! dense engine built on the explicitly degraded topology
 //! (`Network::without_links`) at every step — through random
 //! fail/restore scripts, interleaved weight deltas, tiled detours, and a
-//! full restore back to the intact network.
+//! full restore back to the intact network. Every script ends with a
+//! step the local SPF repair must serve, and the properties check that it
+//! did.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use spef_core::{RoutingEngine, SplitRule};
+use spef_core::{RoutingEngine, SpefError, SplitRule};
 use spef_graph::{EdgeId, NodeId};
 use spef_topology::{gen, Network, TrafficMatrix};
 
@@ -19,14 +21,15 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Strategy: a small random duplex network, a demand set, and a toggle
-/// script — per step, a circuit selector plus one to three `(edge,
-/// weight)` overwrites for the interleaved-delta test.
+/// Strategy: a random duplex network of 4 to 24 nodes, a demand set,
+/// and a toggle script — per step, a circuit selector plus one to four
+/// `(edge, weight)` overwrites with weights from 0 for the
+/// interleaved-delta test.
 #[allow(clippy::type_complexity)]
 fn random_instance(
 ) -> impl Strategy<Value = (Network, TrafficMatrix, Vec<(usize, Vec<(usize, u8)>)>)> {
-    let step = (0usize..1 << 20, pvec((0usize..1 << 20, 1u8..40), 1..4));
-    (4usize..10, 0u64..5000, 2usize..6, pvec(step, 3..8)).prop_map(|(n, seed, pairs, script)| {
+    let step = (0usize..1 << 20, pvec((0usize..1 << 20, 0u8..40), 1..5));
+    (4usize..25, 0u64..5000, 2usize..6, pvec(step, 3..8)).prop_map(|(n, seed, pairs, script)| {
         let links = 2 * (n - 1) + 2 * (n / 2);
         let net = gen::random_network("delta", n, links, seed);
         let mut tm = TrafficMatrix::new(n);
@@ -82,14 +85,16 @@ fn toggle_circuit(
     true
 }
 
-/// Asserts the masked engine's step output equals a cold dense engine
-/// built on the explicitly degraded topology, bit for bit: distances per
-/// destination DAG, flows per destination and in aggregate (remapped
-/// through the surviving-edge ids), and exact zero flow on every failed
-/// link.
+/// Asserts the masked engine's step — `routed`, the result of its
+/// distribution into `flows` — equals a cold dense engine built on the
+/// explicitly degraded topology: the same error (zero-weight ties can
+/// strand a source), or flows bit for bit per destination and in
+/// aggregate (remapped through the surviving-edge ids) with exact zero
+/// flow on every failed link; and every DAG observable matches.
 #[allow(clippy::too_many_arguments)]
 fn assert_matches_degraded(
     engine: &RoutingEngine<'_>,
+    routed: &Result<(), SpefError>,
     flows: &spef_core::Flows,
     net: &Network,
     tm: &TrafficMatrix,
@@ -104,14 +109,28 @@ fn assert_matches_degraded(
     cold.set_incremental(false);
     cold.build_dags(&dw, dests, tol).unwrap();
     let mut cold_flows = cold.distribute_fresh();
-    cold.distribute_into(tm, SplitRule::EvenEcmp, &mut cold_flows)
-        .unwrap();
+    let cold_routed = cold.distribute_into(tm, SplitRule::EvenEcmp, &mut cold_flows);
 
     for i in 0..dests.len() {
-        prop_assert!(bits_eq(
-            engine.dag_set().dag(i).distances(),
-            cold.dag_set().dag(i).distances()
-        ));
+        let (a, b) = (engine.dag_set().dag(i), cold.dag_set().dag(i));
+        prop_assert!(bits_eq(a.distances(), b.distances()));
+        prop_assert_eq!(
+            a.nodes_by_decreasing_distance(),
+            b.nodes_by_decreasing_distance()
+        );
+        for u in net.graph().nodes() {
+            let mapped: Vec<EdgeId> = b.successors(u).iter().map(|e| kept[e.index()]).collect();
+            prop_assert_eq!(a.successors(u), mapped.as_slice());
+            prop_assert_eq!(a.path_count(u), b.path_count(u));
+        }
+    }
+    match (routed, cold_routed) {
+        (Ok(()), Ok(())) => {}
+        (Err(a), Err(b)) => {
+            prop_assert_eq!(a, &b);
+            return Ok(());
+        }
+        (a, b) => prop_assert!(false, "masked engine routed {a:?}, cold engine {b:?}"),
     }
     let remap = |full: &[f64]| -> Vec<f64> { kept.iter().map(|&e| full[e.index()]).collect() };
     prop_assert!(bits_eq(&remap(flows.aggregate()), cold_flows.aggregate()));
@@ -127,23 +146,62 @@ fn assert_matches_degraded(
     Ok(())
 }
 
+/// The closing step of every script: halves the weight of one
+/// positive-weight edge on some cached DAG — a single-edge decrease the
+/// local SPF repair must serve without a fallback — routes, checks the
+/// step against the cold engine on the degraded topology, and asserts the
+/// repair counter moved. Does nothing when every DAG edge weighs zero.
+#[allow(clippy::too_many_arguments)]
+fn closing_repair_step(
+    engine: &mut RoutingEngine<'_>,
+    flows: &mut spef_core::Flows,
+    net: &Network,
+    tm: &TrafficMatrix,
+    dests: &[NodeId],
+    w: &mut [f64],
+    tol: f64,
+    failed: &[EdgeId],
+) -> Result<(), TestCaseError> {
+    let before = engine.spf_stats().slots_repaired;
+    let edge = engine.dag_set().iter().find_map(|dag| {
+        net.graph()
+            .edge_ids()
+            .find(|&e| dag.contains_edge(e) && w[e.index()] > 0.0)
+    });
+    let Some(e) = edge else {
+        return Ok(());
+    };
+    w[e.index()] *= 0.5;
+    engine.build_dags(w, dests, tol).unwrap();
+    let routed = engine.distribute_into(tm, SplitRule::EvenEcmp, flows);
+    assert_matches_degraded(engine, &routed, flows, net, tm, dests, w, tol, failed)?;
+    prop_assert!(
+        engine.spf_stats().slots_repaired > before,
+        "the closing decrease was not repaired: {:?}",
+        engine.spf_stats()
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A persistent engine walked through a random fail/restore script
     /// (constant weights — the failure-probe shape) matches a cold dense
-    /// engine on the explicitly degraded topology at every step.
+    /// engine on the explicitly degraded topology at every step, at zero
+    /// and positive tolerance.
     #[test]
     fn fail_restore_scripts_match_cold_dense_on_degraded(
-        (net, tm, script) in random_instance()
+        (net, tm, script) in random_instance(),
+        tol in prop_oneof![Just(0.0), Just(0.3)],
     ) {
         let dests = tm.destinations();
-        let w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
+        let mut w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
         let circuits = net.duplex_circuits();
         let mut masked = vec![false; circuits.len()];
         let mut engine = RoutingEngine::new(net.graph());
         let mut flows = engine.distribute_fresh();
-        engine.build_dags(&w, &dests, 0.0).unwrap();
+        engine.build_dags(&w, &dests, tol).unwrap();
         engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
 
         for &(sel, _) in &script {
@@ -152,15 +210,20 @@ proptest! {
             }
             let failed = failed_union(&circuits, &masked);
             prop_assert_eq!(engine.masked_links(), failed.len());
-            engine.build_dags(&w, &dests, 0.0).unwrap();
-            engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
+            engine.build_dags(&w, &dests, tol).unwrap();
+            let routed = engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows);
             assert_matches_degraded(
-                &engine, &flows, &net, &tm, &dests, &w, 0.0, &failed,
+                &engine, &routed, &flows, &net, &tm, &dests, &w, tol, &failed,
             )?;
         }
+        let failed = failed_union(&circuits, &masked);
+        closing_repair_step(
+            &mut engine, &mut flows, &net, &tm, &dests, &mut w, tol, &failed,
+        )?;
         let stats = engine.spf_stats();
         prop_assert!(stats.builds > 0);
         prop_assert!(stats.builds >= stats.incremental_builds);
+        prop_assert_eq!(stats.slots_repaired + stats.slot_fallbacks, stats.slots_rebuilt);
     }
 
     /// Restoring every failed circuit lands the engine back on the intact
@@ -169,7 +232,7 @@ proptest! {
     #[test]
     fn restore_all_matches_never_masked((net, tm, script) in random_instance()) {
         let dests = tm.destinations();
-        let w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
+        let mut w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
         let circuits = net.duplex_circuits();
         let mut masked = vec![false; circuits.len()];
         let mut engine = RoutingEngine::new(net.graph());
@@ -206,11 +269,12 @@ proptest! {
                 pristine.dag_set().dag(i).distances()
             ));
         }
+        closing_repair_step(&mut engine, &mut flows, &net, &tm, &dests, &mut w, 0.0, &[])?;
     }
 
     /// Weight deltas interleaved with topology toggles — the weight-search
-    /// shape running on a degraded view — still match the cold dense
-    /// engine on the degraded topology at every step.
+    /// shape running on a degraded view, zero weights included — still
+    /// match the cold dense engine on the degraded topology at every step.
     #[test]
     fn interleaved_weight_and_topology_deltas_match(
         (net, tm, script) in random_instance()
@@ -236,11 +300,15 @@ proptest! {
             }
             let failed = failed_union(&circuits, &masked);
             engine.build_dags(&w, &dests, 0.0).unwrap();
-            engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
+            let routed = engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows);
             assert_matches_degraded(
-                &engine, &flows, &net, &tm, &dests, &w, 0.0, &failed,
+                &engine, &routed, &flows, &net, &tm, &dests, &w, 0.0, &failed,
             )?;
         }
+        let failed = failed_union(&circuits, &masked);
+        closing_repair_step(
+            &mut engine, &mut flows, &net, &tm, &dests, &mut w, 0.0, &failed,
+        )?;
     }
 
     /// The destination-tiled path reads the same masked CSR: with circuits
@@ -252,7 +320,7 @@ proptest! {
         tile in prop_oneof![Just(1usize), Just(3usize)],
     ) {
         let dests = tm.destinations();
-        let w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
+        let mut w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
         let circuits = net.duplex_circuits();
         let mut masked = vec![false; circuits.len()];
         let mut engine = RoutingEngine::new(net.graph());
@@ -272,12 +340,16 @@ proptest! {
                 )
                 .unwrap();
             engine.build_dags(&w, &dests, 0.0).unwrap();
-            engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
+            let routed = engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows);
             prop_assert!(bits_eq(tiled_out.aggregate(), flows.aggregate()));
             assert_matches_degraded(
-                &engine, &flows, &net, &tm, &dests, &w, 0.0,
+                &engine, &routed, &flows, &net, &tm, &dests, &w, 0.0,
                 &failed_union(&circuits, &masked),
             )?;
         }
+        let failed = failed_union(&circuits, &masked);
+        closing_repair_step(
+            &mut engine, &mut flows, &net, &tm, &dests, &mut w, 0.0, &failed,
+        )?;
     }
 }

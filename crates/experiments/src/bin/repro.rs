@@ -311,6 +311,12 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             spf.masked_links
         );
     }
+    if let Some(repair) = &report.spf_repair {
+        println!(
+            "  spf repair: {} slots repaired ({} nodes re-settled), {} rebuilt",
+            repair.slots_repaired, repair.nodes_resettled, repair.slot_fallbacks
+        );
+    }
     if report.failures.is_empty() {
         Ok(ExitCode::SUCCESS)
     } else {

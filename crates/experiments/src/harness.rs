@@ -155,7 +155,8 @@ pub struct SpfStatsResult {
     pub builds: u64,
     /// Builds served by the weight-delta incremental path.
     pub incremental_builds: u64,
-    /// Destination slots rebuilt in place across all delta builds.
+    /// Dirty destination slots across all delta builds, repaired in
+    /// place or rebuilt.
     pub slots_rebuilt: u64,
     /// In-place topology patches after `fail_links`/`restore_links`
     /// (dense fallbacks excluded).
@@ -176,15 +177,30 @@ impl SpfStatsResult {
     }
 }
 
-/// Adds one engine's counters into a running total (`last_dirty`, a
-/// gauge, takes the maximum).
-fn add_spf(total: &mut SpfStats, s: SpfStats) {
-    total.builds += s.builds;
-    total.incremental_builds += s.incremental_builds;
-    total.slots_rebuilt += s.slots_rebuilt;
-    total.last_dirty = total.last_dirty.max(s.last_dirty);
-    total.topology_builds += s.topology_builds;
-    total.masked_links += s.masked_links;
+/// Local SPF repair counters of one sweep, summed like
+/// [`SpfStatsResult`]: how many dirty slots the repair patched in place,
+/// how many nodes it re-settled doing so, and how many slots it rebuilt
+/// because their affected set covered more than half their reachable
+/// nodes. Execution metadata, outside the bit-diffed fields; omitted from
+/// the report when no repair ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SpfRepairResult {
+    /// Dirty slots patched in place.
+    pub slots_repaired: u64,
+    /// Nodes re-settled by the repairs.
+    pub nodes_resettled: u64,
+    /// Dirty slots rebuilt from scratch by the repair.
+    pub slot_fallbacks: u64,
+}
+
+impl SpfRepairResult {
+    fn from_stats(s: SpfStats) -> Option<SpfRepairResult> {
+        (s.slots_repaired + s.slot_fallbacks > 0).then_some(SpfRepairResult {
+            slots_repaired: s.slots_repaired,
+            nodes_resettled: s.nodes_resettled,
+            slot_fallbacks: s.slot_fallbacks,
+        })
+    }
 }
 
 /// Measurements of one successfully solved scenario.
@@ -309,9 +325,14 @@ pub struct BatchReport {
     /// fields, so masked/incremental sweeps diff clean against dense
     /// baselines.
     pub spf: Option<SpfStatsResult>,
+    /// The local SPF repair's counters ([`SpfRepairResult`]); `None` when
+    /// no repair ran (or the report predates the field). Execution
+    /// metadata — outside the bit-diffed fields.
+    pub spf_repair: Option<SpfRepairResult>,
 }
 
-// Hand-written so `tile_size` and `spf` are omitted when absent: dense
+// Hand-written so `tile_size`, `spf` and `spf_repair` are omitted when
+// absent: dense
 // reports serialize byte-identically to the committed pre-PR 8 / pre-PR 10
 // baselines, and those baselines parse back without the keys.
 impl Serialize for BatchReport {
@@ -328,6 +349,9 @@ impl Serialize for BatchReport {
         }
         if let Some(spf) = &self.spf {
             fields.push(("spf".to_string(), spf.to_value()));
+        }
+        if let Some(repair) = &self.spf_repair {
+            fields.push(("spf_repair".to_string(), repair.to_value()));
         }
         Value::Object(fields)
     }
@@ -353,6 +377,10 @@ impl Deserialize for BatchReport {
             spf: match value.get_field("spf") {
                 None => None,
                 Some(v) => Option::<SpfStatsResult>::from_value(v)?,
+            },
+            spf_repair: match value.get_field("spf_repair") {
+                None => None,
+                Some(v) => Option::<SpfRepairResult>::from_value(v)?,
             },
         })
     }
@@ -756,7 +784,7 @@ fn solve_pipeline(
     let routing = if scenario.solver == SolverSpec::FortzThorup {
         let cfg = sweep_ft_config(options.full_rebuild);
         let ft = FtOutcome::local_search(&network, &traffic, &cfg).map_err(|e| e.to_string())?;
-        add_spf(spf, ft.spf_stats);
+        spf.accumulate(ft.spf_stats);
         // An overloaded best routing has no finite utility, which the
         // report's JSON round trip cannot carry — report it as a
         // deterministic scenario failure (like the infeasible Frank–Wolfe
@@ -851,7 +879,7 @@ impl FailureProbes {
     /// Both probes' SPF counters, summed.
     fn spf_stats(&self) -> SpfStats {
         let mut total = self.ospf.spf_stats();
-        add_spf(&mut total, self.stale.spf_stats());
+        total.accumulate(self.stale.spf_stats());
         total
     }
 }
@@ -968,7 +996,7 @@ fn failure_stage(
             };
             let out = RobustOutcome::local_search(&solved.network, &solved.traffic, &cfg)
                 .map_err(|e| format!("failure stage: robust weight search: {e}"))?;
-            add_spf(spf, out.spf_stats);
+            spf.accumulate(out.spf_stats);
             robust_memo.push((robust_key, out.worst_mlu));
             out.worst_mlu
         }
@@ -984,7 +1012,7 @@ fn failure_stage(
         options.full_rebuild,
     )
     .map_err(|e| format!("failure stage: reconfiguration transient: {e}"))?;
-    add_spf(spf, transit_spf);
+    spf.accumulate(transit_spf);
 
     Ok(Some(FailureScenarioResult {
         mlu_ospf,
@@ -1101,8 +1129,8 @@ fn run_scenario_opts(
     )?;
     let sim = sim_stage(scenario, &solved, options.sim_scheduler, sim_ws)?;
     let scale = scale_stage(scenario, &solved, &ws);
-    add_spf(spf, ws.spf_stats());
-    add_spf(spf, probes.spf_stats());
+    spf.accumulate(ws.spf_stats());
+    spf.accumulate(probes.spf_stats());
     Ok(measure(scenario, &solved, sim, failure, scale, started))
 }
 
@@ -1162,8 +1190,8 @@ fn run_chain(
         };
         out.push((index, scenario, outcome));
     }
-    add_spf(&mut spf, ws.spf_stats());
-    add_spf(&mut spf, probes.spf_stats());
+    spf.accumulate(ws.spf_stats());
+    spf.accumulate(probes.spf_stats());
     (out, spf)
 }
 
@@ -1216,7 +1244,7 @@ pub fn run_batch(scenarios: Vec<Scenario>, options: &BatchOptions) -> BatchRepor
             with_stats
                 .into_iter()
                 .map(|(outcome, spf)| {
-                    add_spf(&mut spf_total, spf);
+                    spf_total.accumulate(spf);
                     outcome
                 })
                 .collect()
@@ -1247,7 +1275,7 @@ pub fn run_batch(scenarios: Vec<Scenario>, options: &BatchOptions) -> BatchRepor
         per_chain
             .into_iter()
             .flat_map(|(outcomes, spf)| {
-                add_spf(&mut spf_total, spf);
+                spf_total.accumulate(spf);
                 outcomes
             })
             .collect()
@@ -1270,6 +1298,7 @@ pub fn run_batch(scenarios: Vec<Scenario>, options: &BatchOptions) -> BatchRepor
         threads,
         tile_size: options.tile.map(|t| t as u64),
         spf: (spf_total.builds > 0).then(|| SpfStatsResult::from_stats(spf_total)),
+        spf_repair: SpfRepairResult::from_stats(spf_total),
     }
 }
 

@@ -196,7 +196,7 @@ pub fn migrate(
 /// [`migrate`] with an explicit engine mode, returning the probe engine's
 /// SPF counters alongside the outcome — the bench surface of the
 /// incremental path. `full_rebuild` forces dense SPF rebuilds for every
-/// intermediate state; the default incremental mode rebuilds only
+/// intermediate state; the default incremental mode repairs only
 /// destinations a push can affect (bit-identical outcome either way).
 ///
 /// Every intermediate state is evaluated on **one persistent engine**, so

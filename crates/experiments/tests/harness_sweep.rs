@@ -275,6 +275,11 @@ fn spf_metadata_is_surfaced_but_never_diffed() {
         spf.masked_links > 0,
         "failure probes never masked a link: {spf:?}"
     );
+    // The local SPF repair's counters ride along the same way.
+    let repair = masked
+        .spf_repair
+        .expect("masked failure probes are served by the repair");
+    assert!(repair.slots_repaired > 0 && repair.nodes_resettled > 0);
     let back = BatchReport::from_json(&masked.to_json()).expect("parses back");
     assert_eq!(back, masked);
 
@@ -287,6 +292,8 @@ fn spf_metadata_is_surfaced_but_never_diffed() {
     );
     let rebuild_spf = rebuild.spf.expect("rebuild sweep carries spf metadata");
     assert_eq!(rebuild_spf.topology_builds, 0);
+    assert!(rebuild.spf_repair.is_none(), "full rebuilds never repair");
+    assert!(!rebuild.to_json().contains("spf_repair"));
     assert_ne!(spf, rebuild_spf, "engine modes should differ in SPF work");
     assert!(
         masked.result_drift(&rebuild).is_empty(),
@@ -304,6 +311,7 @@ fn spf_metadata_is_surfaced_but_never_diffed() {
     .expect("committed baseline readable");
     let baseline = BatchReport::from_json(&text).expect("pre-spf baseline parses");
     assert!(baseline.spf.is_none());
+    assert!(baseline.spf_repair.is_none());
 }
 
 #[test]

@@ -102,6 +102,7 @@ impl SlotScratch {
 #[derive(Debug, Default)]
 pub struct RoutingWorkspace {
     slots: Vec<SlotScratch>,
+    repair: RepairScratch,
 }
 
 impl RoutingWorkspace {
@@ -122,10 +123,14 @@ impl RoutingWorkspace {
     /// Bytes of scratch capacity across all slots — one slot per
     /// destination of the largest batch (or tile) this workspace served.
     pub fn arena_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.settled.capacity() + s.heap.capacity() * std::mem::size_of::<HeapEntry>())
-            .sum()
+        self.repair.arena_bytes()
+            + self
+                .slots
+                .iter()
+                .map(|s| {
+                    s.settled.capacity() + s.heap.capacity() * std::mem::size_of::<HeapEntry>()
+                })
+                .sum::<usize>()
     }
 }
 
@@ -152,6 +157,9 @@ pub struct DagSet {
     succ_span: Vec<(u32, u32)>,
     /// Successor edge ids, `m_block` slots per destination.
     succ: Vec<EdgeId>,
+    /// End of the written part of each destination's successor block
+    /// (repairs append rows that outgrow their old span there).
+    succ_fill: Vec<u32>,
     /// DAG membership per edge, `m_block` slots per destination.
     on_dag: Vec<bool>,
     /// Reachable nodes by decreasing distance, `n` slots per destination
@@ -265,6 +273,7 @@ impl DagSet {
         self.dests.capacity() * std::mem::size_of::<NodeId>()
             + self.dist.capacity() * std::mem::size_of::<f64>()
             + self.succ_span.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.succ_fill.capacity() * std::mem::size_of::<u32>()
             + self.order_len.capacity() * std::mem::size_of::<usize>()
     }
 
@@ -283,6 +292,7 @@ impl DagSet {
         self.dist.resize(d * n, 0.0);
         self.succ_span.resize(d * n, (0, 0));
         self.succ.resize(d * m_block, EdgeId::new(0));
+        self.succ_fill.resize(d, 0);
         self.on_dag.resize(d * m_block, false);
         self.order.resize(d * n, NodeId::new(0));
         self.order_len.resize(d, 0);
@@ -434,10 +444,56 @@ struct DagTask<'a> {
     dist: &'a mut [f64],
     succ_span: &'a mut [(u32, u32)],
     succ: &'a mut [EdgeId],
+    succ_fill: &'a mut u32,
     on_dag: &'a mut [bool],
     order: &'a mut [NodeId],
     order_len: &'a mut usize,
     path_counts: &'a mut [u64],
+}
+
+impl DagSet {
+    /// One [`DagTask`] per destination slot, in slot order, pairing each
+    /// slot's arena slices with its scratch slot.
+    fn tasks<'a>(&'a mut self, slots: &'a mut [SlotScratch]) -> impl Iterator<Item = DagTask<'a>> {
+        // `max(1)`: a node-less graph has empty arenas, and `chunks_mut`
+        // rejects a zero chunk size.
+        let n = self.n.max(1);
+        let m_block = self.m_block;
+        slots
+            .iter_mut()
+            .zip(self.dist.chunks_mut(n))
+            .zip(self.succ_span.chunks_mut(n))
+            .zip(self.succ.chunks_mut(m_block))
+            .zip(self.succ_fill.iter_mut())
+            .zip(self.on_dag.chunks_mut(m_block))
+            .zip(self.order.chunks_mut(n))
+            .zip(self.order_len.iter_mut())
+            .zip(self.path_counts.chunks_mut(n))
+            .zip(self.dests.iter())
+            .map(
+                |(
+                    (
+                        (
+                            ((((((scratch, dist), succ_span), succ), succ_fill), on_dag), order),
+                            order_len,
+                        ),
+                        pc,
+                    ),
+                    &target,
+                )| DagTask {
+                    target,
+                    scratch,
+                    dist,
+                    succ_span,
+                    succ,
+                    succ_fill,
+                    on_dag,
+                    order,
+                    order_len,
+                    path_counts: pc,
+                },
+            )
+    }
 }
 
 /// Builds the shortest-path DAGs of every destination in `dests` into
@@ -470,34 +526,7 @@ pub fn build_dag_set(
     let m = graph.edge_count();
     out.prepare(dests, n, m, tol);
     ws.ensure(dests.len(), n);
-    let m_block = out.m_block;
-
-    let tasks = ws.slots[..dests.len()]
-        .iter_mut()
-        .zip(out.dist.chunks_mut(n))
-        .zip(out.succ_span.chunks_mut(n))
-        .zip(out.succ.chunks_mut(m_block))
-        .zip(out.on_dag.chunks_mut(m_block))
-        .zip(out.order.chunks_mut(n))
-        .zip(out.order_len.iter_mut())
-        .zip(out.path_counts.chunks_mut(n))
-        .zip(dests.iter())
-        .map(
-            |((((((((scratch, dist), succ_span), succ), on_dag), order), order_len), pc), &t)| {
-                DagTask {
-                    target: t,
-                    scratch,
-                    dist,
-                    succ_span,
-                    succ,
-                    on_dag,
-                    order,
-                    order_len,
-                    path_counts: pc,
-                }
-            },
-        );
-
+    let tasks = out.tasks(&mut ws.slots[..dests.len()]);
     if par.decide(dests.len(), n + m) {
         tasks
             .collect::<Vec<_>>()
@@ -542,93 +571,543 @@ pub fn validate_dag_inputs(
     Ok(())
 }
 
-/// Rebuilds **only the flagged destination slots** of `out` in place under
-/// `weights`, leaving every other slot's arenas untouched — the delta step
-/// of the incremental SPF path.
+/// One changed edge handed to [`repair_dag_set`]: a weight change, a mask
+/// toggle, or both. The new weight is read from the weight vector and the
+/// new mask state from the CSR; the change records what the cached DAG
+/// set was built with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EdgeChange {
+    /// The changed edge.
+    pub edge: EdgeId,
+    /// Its weight in the cached build.
+    pub old_weight: f64,
+    /// Whether it was enabled (unmasked) in the cached build.
+    pub was_enabled: bool,
+}
+
+/// Work counters of one [`repair_dag_set`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepairStats {
+    /// Slots some change could touch (repaired plus rebuilt).
+    pub dirty: u64,
+    /// Dirty slots patched in place.
+    pub repaired: u64,
+    /// Dirty slots whose affected set covered more than half their
+    /// reachable nodes, rebuilt from scratch instead.
+    pub fallbacks: u64,
+    /// Nodes settled by the repairs' Dijkstra passes.
+    pub resettled: u64,
+}
+
+// Per-node state bits of a slot repair (`RepairScratch::flags`).
+/// Popped from the affected-set walk.
+const DECIDED: u8 = 1;
+/// Lost its support: distance reset and recomputed.
+const AFFECTED: u8 = 1 << 1;
+/// Label changed during the repair; the old one is in `relabeled`.
+const RELABELED: u8 = 1 << 2;
+/// Settled by the repair's Dijkstra pass.
+const SETTLED: u8 = 1 << 3;
+/// Queued for successor reclassification.
+const RECLASS: u8 = 1 << 4;
+/// Path count recomputed.
+const COUNTED: u8 = 1 << 5;
+/// Final distance differs from the cached one.
+const MOVED: u8 = 1 << 6;
+
+/// Scratch of [`repair_dag_set`], shared by the slots it repairs one after
+/// another. Every flag is back to zero between slot repairs, so each repair
+/// costs what it touches, not `O(nodes + edges)`.
+#[derive(Debug, Default)]
+struct RepairScratch {
+    /// `edge_changed[e]`: edge `e` is in the call's change list.
+    edge_changed: Vec<bool>,
+    /// Per-node state bits (the constants above).
+    flags: Vec<u8>,
+    /// Nodes with non-zero flags, for the cleanup.
+    touched: Vec<NodeId>,
+    /// `(node, label before the repair)` of every relabeled node, the
+    /// affected ones first.
+    relabeled: Vec<(NodeId, f64)>,
+    /// Nodes whose final distance moved.
+    moved: Vec<NodeId>,
+    reclass: Vec<NodeId>,
+    /// One node's freshly classified successor row.
+    row: Vec<EdgeId>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl RepairScratch {
+    fn mark(&mut self, u: NodeId, bit: u8) {
+        let f = &mut self.flags[u.index()];
+        if *f == 0 {
+            self.touched.push(u);
+        }
+        *f |= bit;
+    }
+
+    fn has(&self, u: NodeId, bit: u8) -> bool {
+        self.flags[u.index()] & bit != 0
+    }
+
+    /// Records `u`'s label before its first change in this repair.
+    fn relabel(&mut self, u: NodeId, old: f64) {
+        if !self.has(u, RELABELED) {
+            self.mark(u, RELABELED);
+            self.relabeled.push((u, old));
+        }
+    }
+
+    fn clear_slot(&mut self) {
+        for &u in &self.touched {
+            self.flags[u.index()] = 0;
+        }
+        self.touched.clear();
+        self.relabeled.clear();
+        self.moved.clear();
+        self.reclass.clear();
+        self.heap.clear();
+    }
+
+    fn arena_bytes(&self) -> usize {
+        self.edge_changed.capacity()
+            + self.flags.capacity()
+            + (self.touched.capacity() + self.moved.capacity() + self.reclass.capacity())
+                * std::mem::size_of::<NodeId>()
+            + self.relabeled.capacity() * std::mem::size_of::<(NodeId, f64)>()
+            + self.row.capacity() * std::mem::size_of::<EdgeId>()
+            + self.heap.capacity() * std::mem::size_of::<HeapEntry>()
+    }
+}
+
+/// Brings every slot of `out` up to date with `weights` and the current
+/// mask of `in_csr` after the edge changes in `changes`, patching each DAG
+/// in place — the delta step of the incremental SPF path.
 ///
-/// `out` must hold a DAG set previously built by [`build_dag_set`] over
-/// the same graph with the same destination list and tolerance; `dirty`
-/// is one flag per destination slot. Each rebuilt slot runs the exact
-/// same Dijkstra + classification as a dense build ([`build_one_dag`]
-/// over the slot's own arena slices), so a rebuilt slot is bit-identical
-/// to what a dense [`build_dag_set`] call would produce for it. The
-/// *caller* is responsible for flagging every destination whose DAG could
-/// change under the new weights — clean slots are trusted as-is.
+/// `out` must hold a DAG set built by [`build_dag_set`] (and possibly
+/// earlier repairs) over the same graph, under the old weights and mask
+/// that `changes` records; edges not listed must be unchanged. A slot is
+/// dirty when some change passes the classifier's slack test against its
+/// cached distances in the old or the new state (`w + d[v] − d[u] ≤ tol`
+/// for an edge `(u, v)` enabled in that state with `v` reachable);
+/// otherwise no relaxation or classification it enters can win, and the
+/// slot is left untouched.
 ///
-/// Inputs are assumed pre-validated via [`validate_dag_inputs`] (the
-/// weights are revalidated defensively, since stale weights here would
-/// silently corrupt the arena).
+/// A dirty slot is repaired Ramalingam–Reps style:
+///
+/// 1. **Affected set.** Walking nodes in increasing old distance from the
+///    tails of tight changed edges that got heavier or masked, a node is
+///    affected when no out-edge is unchanged, enabled, tight (`d[z] + w ==
+///    d[u]`) and leads to a *strictly* closer unaffected node; an affected
+///    node's tight in-neighbours are checked in turn. Requiring a strictly
+///    closer node over-approximates (zero-weight ties count as
+///    unsupported) but never misses a node whose distance may grow.
+/// 2. **Distances.** Affected nodes reset to `+∞`; one Dijkstra pass is
+///    seeded with each affected node's best boundary value and with the
+///    tails of cheaper or restored edges, relaxing with the dense pass's
+///    `d + w` and `<`. Every label is a float path sum and the result is
+///    the minimum over all paths, so it equals the dense distances bit for
+///    bit whatever the settle order.
+/// 3. **Successors.** Nodes whose distance moved, their in-neighbours and
+///    the tails of changed edges are reclassified with the dense test, in
+///    edge-id order. A row that fits its old span is written in place;
+///    otherwise it is appended to the slot's block, which is compacted
+///    from `on_dag` when full.
+/// 4. **Path counts** are recomputed in increasing distance for the
+///    nodes whose row changed and, while counts change, their DAG
+///    ancestors.
+/// 5. **Order.** Moved nodes leave the `(distance desc, id asc)` order and
+///    the reachable ones merge back in.
+///
+/// A slot whose affected set covers more than half its reachable nodes is
+/// rebuilt from scratch instead. Either way the slot is bit-identical to
+/// what [`build_dag_set`] would produce under the new weights and mask
+/// (successor spans may sit elsewhere in the block; the rows they address
+/// do not differ). Repairs run sequentially: each touches a handful of
+/// nodes, less than a thread hand-off costs.
+///
+/// On return `changed[i]` is `true` exactly when slot `i`'s DAG changed
+/// (rebuilt slots count as changed).
 ///
 /// # Errors
 ///
-/// Propagates weight validation failures.
+/// Propagates weight validation failures (the weights are revalidated
+/// defensively, since bad weights would silently corrupt the arena);
+/// `out` is untouched then.
 ///
 /// # Panics
 ///
-/// Panics if `dirty` is misaligned with `out`'s destinations or `out`'s
-/// geometry does not match `graph`.
-#[allow(clippy::too_many_arguments)]
-pub fn rebuild_dag_set_slots(
+/// Panics if `changed` is misaligned with `out`'s destinations, `out`'s
+/// geometry does not match `graph`, or a change names an edge outside
+/// `graph`.
+pub fn repair_dag_set(
     graph: &Graph,
     in_csr: &Csr,
     weights: &[f64],
-    dirty: &[bool],
-    par: Parallelism,
+    changes: &[EdgeChange],
     ws: &mut RoutingWorkspace,
     out: &mut DagSet,
-) -> Result<(), GraphError> {
+    changed: &mut [bool],
+) -> Result<RepairStats, GraphError> {
     validate_weights(graph.edge_count(), weights)?;
     let n = graph.node_count();
     let m = graph.edge_count();
     let d = out.dests.len();
-    assert_eq!(dirty.len(), d, "one dirty flag per destination slot");
+    assert_eq!(changed.len(), d, "one change flag per destination slot");
     assert_eq!(out.n, n, "DAG set node geometry matches the graph");
     assert_eq!(out.m_block, m.max(1), "DAG set edge geometry matches");
+    changed.fill(false);
+    let mut stats = RepairStats::default();
+    if changes.is_empty() {
+        return Ok(stats);
+    }
     let tol = out.tol;
     ws.ensure(d, n);
-    let m_block = out.m_block;
+    let rs = &mut ws.repair;
+    rs.edge_changed.resize(m, false);
+    rs.flags.resize(n, 0);
+    for c in changes {
+        rs.edge_changed[c.edge.index()] = true;
+    }
+    let disabled = in_csr.disabled_edges();
+    let enabled = |e: EdgeId| disabled.is_empty() || !disabled[e.index()];
+    for (task, flag) in out.tasks(&mut ws.slots[..d]).zip(changed.iter_mut()) {
+        let dist = &*task.dist;
+        let dirty = changes.iter().any(|c| {
+            let e = c.edge;
+            let dv = dist[graph.target(e).index()];
+            if !dv.is_finite() {
+                // The head cannot reach this destination: the edge is
+                // dead weight in either state.
+                return false;
+            }
+            let du = dist[graph.source(e).index()];
+            // `du = +∞` makes the slack −∞ (an enabled edge may create
+            // the first path from `u`).
+            (c.was_enabled && c.old_weight + dv - du <= tol)
+                || (enabled(e) && weights[e.index()] + dv - du <= tol)
+        });
+        if !dirty {
+            continue;
+        }
+        stats.dirty += 1;
+        *flag = match repair_one(graph, in_csr, weights, tol, changes, rs, task) {
+            Some((dag_changed, resettled)) => {
+                stats.repaired += 1;
+                stats.resettled += resettled;
+                dag_changed
+            }
+            None => {
+                stats.fallbacks += 1;
+                true
+            }
+        };
+    }
+    for c in changes {
+        rs.edge_changed[c.edge.index()] = false;
+    }
+    Ok(stats)
+}
 
-    let tasks = ws.slots[..d]
-        .iter_mut()
-        .zip(out.dist.chunks_mut(n))
-        .zip(out.succ_span.chunks_mut(n))
-        .zip(out.succ.chunks_mut(m_block))
-        .zip(out.on_dag.chunks_mut(m_block))
-        .zip(out.order.chunks_mut(n))
-        .zip(out.order_len.iter_mut())
-        .zip(out.path_counts.chunks_mut(n))
-        .zip(out.dests.iter())
-        .zip(dirty.iter())
-        .filter(|task_and_flag| *task_and_flag.1)
-        .map(
-            |(
-                ((((((((scratch, dist), succ_span), succ), on_dag), order), order_len), pc), &t),
-                _,
-            )| DagTask {
-                target: t,
-                scratch,
-                dist,
-                succ_span,
-                succ,
-                on_dag,
-                order,
-                order_len,
-                path_counts: pc,
-            },
-        );
+/// Repairs one dirty slot in place (see [`repair_dag_set`]). Returns
+/// whether the DAG changed and how many nodes the Dijkstra pass settled,
+/// or `None` when the affected set was too large and the slot was rebuilt
+/// with [`build_one_dag`] instead.
+fn repair_one(
+    graph: &Graph,
+    in_csr: &Csr,
+    weights: &[f64],
+    tol: f64,
+    changes: &[EdgeChange],
+    rs: &mut RepairScratch,
+    task: DagTask<'_>,
+) -> Option<(bool, u64)> {
+    let disabled = in_csr.disabled_edges();
+    let enabled = |e: EdgeId| disabled.is_empty() || !disabled[e.index()];
+    let target = task.target;
+    let dist = &mut *task.dist;
 
-    let dirty_count = dirty.iter().filter(|&&b| b).count();
-    if par.decide(dirty_count, n + m) {
-        tasks
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .for_each(|task| build_one_dag(graph, in_csr, weights, tol, task));
-    } else {
-        for task in tasks {
-            build_one_dag(graph, in_csr, weights, tol, task);
+    // 1. Affected set, in increasing old distance from the tails of
+    // changed edges that were tight in the cached build and got heavier
+    // or masked. (A cheaper or restored edge still carries its tail's old
+    // label or a better one; step 2 seeds it.)
+    for c in changes {
+        let (e, u) = (c.edge, graph.source(c.edge));
+        let du = dist[u.index()];
+        let weakened = !enabled(e) || weights[e.index()] > c.old_weight;
+        if c.was_enabled
+            && weakened
+            && u != target
+            && du.is_finite()
+            && dist[graph.target(e).index()] + c.old_weight == du
+        {
+            rs.heap.push(HeapEntry { dist: du, node: u });
         }
     }
-    Ok(())
+    while let Some(HeapEntry { dist: du, node: u }) = rs.heap.pop() {
+        if rs.has(u, DECIDED) {
+            continue;
+        }
+        rs.mark(u, DECIDED);
+        let supported = graph.out_edges(u).iter().any(|&e| {
+            let z = graph.target(e);
+            let dz = dist[z.index()];
+            !rs.edge_changed[e.index()]
+                && enabled(e)
+                && dz < du
+                && !rs.has(z, AFFECTED)
+                && dz + weights[e.index()] == du
+        });
+        if supported {
+            continue;
+        }
+        rs.mark(u, AFFECTED);
+        rs.relabel(u, du);
+        if rs.relabeled.len() * 2 > *task.order_len {
+            rs.clear_slot();
+            build_one_dag(graph, in_csr, weights, tol, task);
+            return None;
+        }
+        // Tight in-edges may have been a neighbour's only support; a
+        // changed one is checked whatever its new weight, since it may
+        // have been tight under the old one.
+        for &(e, y) in in_csr.neighbors(u) {
+            let dy = dist[y.index()];
+            let tight = rs.edge_changed[e.index()] || du + weights[e.index()] == dy;
+            if y != target && dy.is_finite() && tight && !rs.has(y, DECIDED) {
+                rs.heap.push(HeapEntry { dist: dy, node: y });
+            }
+        }
+    }
+
+    // 2. Distances: reset the affected nodes (the only ones relabeled so
+    // far), seed the boundary and the cheaper or restored edges, and
+    // settle.
+    for &(u, _) in &rs.relabeled {
+        dist[u.index()] = f64::INFINITY;
+    }
+    for &(u, _) in &rs.relabeled {
+        let mut best = f64::INFINITY;
+        for &e in graph.out_edges(u) {
+            if enabled(e) {
+                let nd = dist[graph.target(e).index()] + weights[e.index()];
+                if nd < best {
+                    best = nd;
+                }
+            }
+        }
+        if best < f64::INFINITY {
+            dist[u.index()] = best;
+            rs.heap.push(HeapEntry {
+                dist: best,
+                node: u,
+            });
+        }
+    }
+    for c in changes {
+        let (e, u) = (c.edge, graph.source(c.edge));
+        if !enabled(e) || rs.has(u, AFFECTED) {
+            continue;
+        }
+        let nd = dist[graph.target(e).index()] + weights[e.index()];
+        if nd < dist[u.index()] {
+            rs.relabel(u, dist[u.index()]);
+            dist[u.index()] = nd;
+            rs.heap.push(HeapEntry { dist: nd, node: u });
+        }
+    }
+    let mut resettled = 0u64;
+    while let Some(HeapEntry { dist: d, node: u }) = rs.heap.pop() {
+        if d > dist[u.index()] || rs.has(u, SETTLED) {
+            continue;
+        }
+        rs.mark(u, SETTLED);
+        resettled += 1;
+        for &(e, v) in in_csr.neighbors(u) {
+            let nd = d + weights[e.index()];
+            if nd < dist[v.index()] {
+                rs.relabel(v, dist[v.index()]);
+                dist[v.index()] = nd;
+                rs.heap.push(HeapEntry { dist: nd, node: v });
+            }
+        }
+    }
+    for i in 0..rs.relabeled.len() {
+        let (u, old) = rs.relabeled[i];
+        if dist[u.index()].to_bits() != old.to_bits() {
+            rs.mark(u, MOVED);
+            rs.moved.push(u);
+        }
+    }
+    let mut dag_changed = !rs.moved.is_empty();
+
+    // 3. Successors of the moved nodes, their in-neighbours and the tails
+    // of changed edges. A node whose row changes queues its path count.
+    for i in 0..rs.moved.len() {
+        let u = rs.moved[i];
+        for &(_, y) in in_csr.neighbors(u) {
+            if !rs.has(y, RECLASS) {
+                rs.mark(y, RECLASS);
+                rs.reclass.push(y);
+            }
+        }
+        if !rs.has(u, RECLASS) {
+            rs.mark(u, RECLASS);
+            rs.reclass.push(u);
+        }
+    }
+    for c in changes {
+        let u = graph.source(c.edge);
+        if !rs.has(u, RECLASS) {
+            rs.mark(u, RECLASS);
+            rs.reclass.push(u);
+        }
+    }
+    let m_block = task.succ.len() as u32;
+    for i in 0..rs.reclass.len() {
+        let y = rs.reclass[i];
+        let dy = dist[y.index()];
+        rs.row.clear();
+        if dy.is_finite() {
+            for &e in graph.out_edges(y) {
+                let dx = dist[graph.target(e).index()];
+                if enabled(e) && dx < dy && weights[e.index()] + dx - dy <= tol {
+                    rs.row.push(e);
+                }
+            }
+        }
+        let (start, len) = task.succ_span[y.index()];
+        let old = &task.succ[start as usize..(start + len) as usize];
+        if old == rs.row.as_slice() {
+            continue;
+        }
+        dag_changed = true;
+        for &e in old {
+            task.on_dag[e.index()] = false;
+        }
+        for &e in &rs.row {
+            task.on_dag[e.index()] = true;
+        }
+        let new_len = rs.row.len() as u32;
+        if new_len <= len {
+            task.succ[start as usize..(start + new_len) as usize].copy_from_slice(&rs.row);
+            task.succ_span[y.index()] = (start, new_len);
+        } else if *task.succ_fill + new_len <= m_block {
+            let at = *task.succ_fill;
+            *task.succ_fill += new_len;
+            task.succ[at as usize..(at + new_len) as usize].copy_from_slice(&rs.row);
+            task.succ_span[y.index()] = (at, new_len);
+        } else {
+            // The block is full of dead rows: rewrite every row from
+            // `on_dag`, which already holds `y`'s new one.
+            compact_succ(
+                graph,
+                task.on_dag,
+                task.succ,
+                task.succ_span,
+                task.succ_fill,
+            );
+        }
+        if dy.is_finite() {
+            rs.heap.push(HeapEntry { dist: dy, node: y });
+        } else {
+            // Unreachable now: no successors, no paths.
+            task.path_counts[y.index()] = 0;
+        }
+    }
+
+    // 4. Path counts, in increasing distance, spreading to DAG ancestors
+    // while they change. A node's count is a function of its row and its
+    // successors' counts, so only changed rows and their ancestors move.
+    while let Some(HeapEntry { node: u, .. }) = rs.heap.pop() {
+        if rs.has(u, COUNTED) {
+            continue;
+        }
+        rs.mark(u, COUNTED);
+        let count = if u == target {
+            1
+        } else {
+            let (start, len) = task.succ_span[u.index()];
+            task.succ[start as usize..(start + len) as usize]
+                .iter()
+                .fold(0u64, |acc, &e| {
+                    acc.saturating_add(task.path_counts[graph.target(e).index()])
+                })
+        };
+        if count == task.path_counts[u.index()] {
+            continue;
+        }
+        task.path_counts[u.index()] = count;
+        dag_changed = true;
+        for &(e, y) in in_csr.neighbors(u) {
+            if task.on_dag[e.index()] && !rs.has(y, COUNTED) {
+                rs.heap.push(HeapEntry {
+                    dist: dist[y.index()],
+                    node: y,
+                });
+            }
+        }
+    }
+
+    // 5. Order: drop the moved nodes, merge the reachable ones back in.
+    if !rs.moved.is_empty() {
+        let len = *task.order_len;
+        let mut kept = 0;
+        for i in 0..len {
+            let u = task.order[i];
+            if !rs.has(u, MOVED) {
+                task.order[kept] = u;
+                kept += 1;
+            }
+        }
+        let before = |a: NodeId, b: NodeId| {
+            dist[b.index()]
+                .total_cmp(&dist[a.index()])
+                .then_with(|| a.index().cmp(&b.index()))
+        };
+        rs.moved.retain(|u| dist[u.index()].is_finite());
+        rs.moved.sort_unstable_by(|&a, &b| before(a, b));
+        let (mut i, mut j) = (kept, rs.moved.len());
+        let total = kept + j;
+        let mut w = total;
+        while j > 0 {
+            w -= 1;
+            if i > 0 && before(rs.moved[j - 1], task.order[i - 1]).is_lt() {
+                task.order[w] = task.order[i - 1];
+                i -= 1;
+            } else {
+                task.order[w] = rs.moved[j - 1];
+                j -= 1;
+            }
+        }
+        *task.order_len = total;
+    }
+    rs.clear_slot();
+    Some((dag_changed, resettled))
+}
+
+/// Rewrites a slot's whole successor block from its `on_dag` flags, node
+/// by node and in edge-id order — the same rows, packed from the start of
+/// the block with no dead entries between them.
+fn compact_succ(
+    graph: &Graph,
+    on_dag: &[bool],
+    succ: &mut [EdgeId],
+    succ_span: &mut [(u32, u32)],
+    succ_fill: &mut u32,
+) {
+    let mut fill = 0u32;
+    for u in graph.nodes() {
+        let start = fill;
+        for &e in graph.out_edges(u) {
+            if on_dag[e.index()] {
+                succ[fill as usize] = e;
+                fill += 1;
+            }
+        }
+        succ_span[u.index()] = (start, fill - start);
+    }
+    *succ_fill = fill;
 }
 
 /// Builds the DAGs of `dests` one bounded **tile** at a time instead of in
@@ -703,6 +1182,7 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
         dist,
         succ_span,
         succ,
+        succ_fill,
         on_dag,
         order,
         order_len,
@@ -740,6 +1220,8 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
         succ_span[u.index()] = (start as u32, (fill - start) as u32);
         path_counts[u.index()] = if u == target { 1 } else { total };
     });
+
+    *succ_fill = fill as u32;
 
     // Settle order is non-decreasing in distance; reversed, it is the
     // decreasing order with each equal-distance run backwards. Reversing
@@ -1064,11 +1546,72 @@ mod tests {
         }
     }
 
+    /// Every observable of slot `i` of `a` equals slot `j` of `b`.
+    fn assert_same_dag(g: &Graph, a: DagRef<'_>, b: DagRef<'_>) {
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.distances()), bits(b.distances()));
+        assert_eq!(
+            a.nodes_by_decreasing_distance(),
+            b.nodes_by_decreasing_distance()
+        );
+        for u in g.nodes() {
+            assert_eq!(a.successors(u), b.successors(u), "successors of {u}");
+            assert_eq!(a.path_count(u), b.path_count(u), "path count of {u}");
+        }
+        for e in g.edge_ids() {
+            assert_eq!(a.contains_edge(e), b.contains_edge(e), "edge {e}");
+        }
+    }
+
     #[test]
     fn slot_rebuild_matches_dense_build() {
         let (g, w) = near_tie(0.1);
         let csr = Csr::in_of(&g);
         let dests: Vec<NodeId> = g.nodes().collect();
+        let mut ws = RoutingWorkspace::new();
+        let mut set = build_all(&g, &w, &dests, 0.0, Parallelism::Never);
+
+        // Cheapen one weight and repair in place: only the slots whose
+        // DAG can change are touched, and every slot ends up equal to a
+        // dense build under the new weights.
+        let mut w2 = w.clone();
+        w2[1] = 0.25;
+        let change = EdgeChange {
+            edge: EdgeId::new(1),
+            old_weight: w[1],
+            was_enabled: true,
+        };
+        let mut changed = vec![false; dests.len()];
+        let stats =
+            repair_dag_set(&g, &csr, &w2, &[change], &mut ws, &mut set, &mut changed).unwrap();
+        let new = build_all(&g, &w2, &dests, 0.0, Parallelism::Never);
+        for i in 0..dests.len() {
+            assert_same_dag(&g, set.dag(i), new.dag(i));
+        }
+        // Edge 0 -> 2 only matters to destinations 2 and 3.
+        assert_eq!(changed, [false, false, true, true]);
+        assert_eq!(stats.dirty, 2);
+        assert_eq!(stats.repaired + stats.fallbacks, 2);
+    }
+
+    #[test]
+    fn repair_finds_a_zero_weight_cycle_cut_off_from_its_exit() {
+        // 0 <-> 1 <-> 2 is a zero-weight cycle whose only exit is the
+        // edge 2 -> 3 into the destination; 4 hangs off node 0. Every node
+        // of the cycle sits at the same distance, so each one "supports"
+        // the others through an equal-distance tight edge. Failing the
+        // exit must strand the whole cycle and node 4.
+        let mut g = Graph::with_nodes(5);
+        g.add_edge(0.into(), 1.into()); // e0
+        g.add_edge(1.into(), 0.into()); // e1
+        g.add_edge(1.into(), 2.into()); // e2
+        g.add_edge(2.into(), 1.into()); // e3
+        g.add_edge(2.into(), 3.into()); // e4: the exit
+        g.add_edge(4.into(), 0.into()); // e5
+        g.add_edge(3.into(), 4.into()); // e6
+        let w = vec![0.0, 0.0, 0.0, 0.0, 2.0, 1.0, 1.0];
+        let dests = [NodeId::new(3)];
+        let mut csr = Csr::in_of(&g);
         let mut ws = RoutingWorkspace::new();
         let mut set = DagSet::new();
         build_dag_set(
@@ -1082,30 +1625,88 @@ mod tests {
             &mut set,
         )
         .unwrap();
+        assert_eq!(set.dag(0).distance(0.into()), 2.0);
 
-        // Perturb one weight and rebuild only slots 1 and 3 in place.
-        let mut w2 = w.clone();
-        w2[1] = 0.25;
-        let dirty = [false, true, false, true];
-        rebuild_dag_set_slots(&g, &csr, &w2, &dirty, Parallelism::Never, &mut ws, &mut set)
-            .unwrap();
+        let exit = EdgeId::new(4);
+        csr.set_links_enabled(&[exit], false);
+        let fail = EdgeChange {
+            edge: exit,
+            old_weight: w[4],
+            was_enabled: true,
+        };
+        let mut changed = [false];
+        let stats = repair_dag_set(&g, &csr, &w, &[fail], &mut ws, &mut set, &mut changed).unwrap();
+        assert!(changed[0]);
+        // Four of the five nodes lose their distance: a fallback.
+        assert_eq!(stats.fallbacks, 1);
+        let mut dense = DagSet::new();
+        build_dag_set(
+            &g,
+            &csr,
+            &w,
+            &dests,
+            0.0,
+            Parallelism::Never,
+            &mut ws,
+            &mut dense,
+        )
+        .unwrap();
+        assert_same_dag(&g, set.dag(0), dense.dag(0));
+        assert!(!set.dag(0).reaches_target(1.into()));
 
-        // Dense references under both weight vectors.
-        let old = build_all(&g, &w, &dests, 0.0, Parallelism::Never);
-        let new = build_all(&g, &w2, &dests, 0.0, Parallelism::Never);
-        for (i, _) in dests.iter().enumerate() {
-            let reference = if dirty[i] { new.dag(i) } else { old.dag(i) };
-            let view = set.dag(i);
-            assert_eq!(view.distances(), reference.distances(), "slot {i}");
-            for u in g.nodes() {
-                assert_eq!(view.successors(u), reference.successors(u));
-                assert_eq!(view.path_count(u), reference.path_count(u));
-            }
-            assert_eq!(
-                view.nodes_by_decreasing_distance(),
-                reference.nodes_by_decreasing_distance()
-            );
+        // Restoring it is a repair, not a rebuild: nothing is affected,
+        // the restored edge seeds the cycle back.
+        csr.set_links_enabled(&[exit], true);
+        let restore = EdgeChange {
+            was_enabled: false,
+            ..fail
+        };
+        let stats =
+            repair_dag_set(&g, &csr, &w, &[restore], &mut ws, &mut set, &mut changed).unwrap();
+        assert_eq!((stats.repaired, stats.fallbacks), (1, 0));
+        assert_eq!(stats.resettled, 4);
+        let intact = build_all(&g, &w, &dests, 0.0, Parallelism::Never);
+        assert_same_dag(&g, set.dag(0), intact.dag(0));
+
+        // With a second way out through node 4, losing the exit leaves
+        // the cycle reachable at a larger distance — repaired in place.
+        let mut g2 = g.clone();
+        g2.add_edge(0.into(), 4.into()); // e7
+        g2.add_edge(4.into(), 3.into()); // e8
+        let w2 = [w.as_slice(), &[1.0, 5.0]].concat();
+        let mut csr2 = Csr::in_of(&g2);
+        let five = [NodeId::new(3), NodeId::new(4)];
+        let mut set2 = DagSet::new();
+        build_dag_set(
+            &g2,
+            &csr2,
+            &w2,
+            &five,
+            0.0,
+            Parallelism::Never,
+            &mut ws,
+            &mut set2,
+        )
+        .unwrap();
+        csr2.set_links_enabled(&[exit], false);
+        let mut changed2 = [false, false];
+        repair_dag_set(&g2, &csr2, &w2, &[fail], &mut ws, &mut set2, &mut changed2).unwrap();
+        let mut dense2 = DagSet::new();
+        build_dag_set(
+            &g2,
+            &csr2,
+            &w2,
+            &five,
+            0.0,
+            Parallelism::Never,
+            &mut ws,
+            &mut dense2,
+        )
+        .unwrap();
+        for i in 0..2 {
+            assert_same_dag(&g2, set2.dag(i), dense2.dag(i));
         }
+        assert_eq!(set2.dag(0).distance(1.into()), 6.0);
     }
 
     #[test]

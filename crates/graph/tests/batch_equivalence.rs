@@ -10,10 +10,10 @@
 //! on the parallel schedule.
 
 use proptest::prelude::*;
-use spef_graph::batch::rebuild_dag_set_slots;
+use spef_graph::batch::{repair_dag_set, EdgeChange, RepairStats};
 use spef_graph::{
-    batch_distances_to, build_dag_set, distances_to, Csr, DagSet, DistanceSet, Graph, NodeId,
-    Parallelism, RoutingWorkspace, ShortestPathDag,
+    batch_distances_to, build_dag_set, distances_to, Csr, DagRef, DagSet, DistanceSet, EdgeId,
+    Graph, NodeId, Parallelism, RoutingWorkspace, ShortestPathDag,
 };
 
 /// Strategy: a strongly connected digraph (Hamiltonian backbone plus
@@ -111,6 +111,122 @@ fn check_against_legacy(g: &Graph, w: &[f64], set: &DagSet, tol: f64) {
     }
 }
 
+/// Every observable of two DAG views agrees bit for bit.
+fn same_dag(g: &Graph, a: DagRef<'_>, b: DagRef<'_>) -> bool {
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    bits(a.distances()) == bits(b.distances())
+        && a.nodes_by_decreasing_distance() == b.nodes_by_decreasing_distance()
+        && g.nodes()
+            .all(|u| a.successors(u) == b.successors(u) && a.path_count(u) == b.path_count(u))
+        && g.edge_ids()
+            .all(|e| a.contains_edge(e) == b.contains_edge(e))
+}
+
+/// One scripted edge change: `(edge selector, action, weight draw)`;
+/// action 3 toggles the edge's mask, anything else sets its weight to
+/// the network's weight function of the draw.
+type Step = Vec<(usize, u32, (u32, u32, f64))>;
+
+fn script() -> impl Strategy<Value = Vec<Step>> {
+    let change = (0usize..1 << 20, 0u32..4, (0u32..3, 0u32..=3, 0.0f64..1.0));
+    proptest::collection::vec(proptest::collection::vec(change, 1..5), 1..7)
+}
+
+/// Walks `script` with in-place repairs and checks every step against a
+/// dense build over the same weights and mask (and against the legacy
+/// DAG while nothing is masked). A slot the repair reports unchanged
+/// must equal the previous step's dense build. Returns the summed
+/// repair counters.
+fn check_repairs(
+    g: &Graph,
+    w: &[f64],
+    weight: fn(u32, u32, f64) -> f64,
+    script: &[Step],
+    tol: f64,
+) -> RepairStats {
+    let dests: Vec<NodeId> = g.nodes().collect();
+    let m = g.edge_count();
+    let mut csr = Csr::in_of(g);
+    let mut ws = RoutingWorkspace::new();
+    let mut set = DagSet::new();
+    build_dag_set(
+        g,
+        &csr,
+        w,
+        &dests,
+        tol,
+        Parallelism::Never,
+        &mut ws,
+        &mut set,
+    )
+    .unwrap();
+    let mut prev = build_batched(g, w, &dests, tol, Parallelism::Never);
+    let mut w = w.to_vec();
+    let mut changed = vec![false; dests.len()];
+    let mut total = RepairStats::default();
+    for step in script {
+        let mut changes: Vec<EdgeChange> = Vec::new();
+        let mut w_new = w.clone();
+        for &(sel, action, (coin, k, x)) in step {
+            let e = EdgeId::new(sel % m);
+            if changes.iter().any(|c| c.edge == e) {
+                continue;
+            }
+            let was_enabled = csr.edge_enabled(e);
+            if action == 3 {
+                csr.set_links_enabled(&[e], !was_enabled);
+            } else {
+                w_new[e.index()] = weight(coin, k, x);
+                if w_new[e.index()].to_bits() == w[e.index()].to_bits() {
+                    continue;
+                }
+            }
+            changes.push(EdgeChange {
+                edge: e,
+                old_weight: w[e.index()],
+                was_enabled,
+            });
+        }
+        let stats =
+            repair_dag_set(g, &csr, &w_new, &changes, &mut ws, &mut set, &mut changed).unwrap();
+        assert_eq!(stats.repaired + stats.fallbacks, stats.dirty);
+        total.dirty += stats.dirty;
+        total.repaired += stats.repaired;
+        total.fallbacks += stats.fallbacks;
+        total.resettled += stats.resettled;
+        let mut dense = DagSet::new();
+        build_dag_set(
+            g,
+            &csr,
+            &w_new,
+            &dests,
+            tol,
+            Parallelism::Never,
+            &mut ws,
+            &mut dense,
+        )
+        .unwrap();
+        for (i, &slot_changed) in changed.iter().enumerate() {
+            assert!(
+                same_dag(g, set.dag(i), dense.dag(i)),
+                "slot {i} after {changes:?}"
+            );
+            if !slot_changed {
+                assert!(
+                    same_dag(g, prev.dag(i), dense.dag(i)),
+                    "slot {i} changed unreported"
+                );
+            }
+        }
+        if csr.masked_count() == 0 {
+            check_against_legacy(g, &w_new, &set, tol);
+        }
+        w = w_new;
+        prev = dense;
+    }
+    total
+}
+
 fn build_batched(g: &Graph, w: &[f64], dests: &[NodeId], tol: f64, par: Parallelism) -> DagSet {
     let csr = Csr::in_of(g);
     let mut ws = RoutingWorkspace::new();
@@ -144,16 +260,46 @@ proptest! {
         let set = build_batched(&g, &w, &dests, tol, Parallelism::Never);
         check_against_legacy(&g, &w, &set, tol);
 
+        // Every weight rewritten at once: most slots fall back to a
+        // rebuild over the warm arena.
         let w2: Vec<f64> = w.iter().rev().copied().collect();
         let csr = Csr::in_of(&g);
         let mut ws = RoutingWorkspace::new();
         let mut warm = DagSet::new();
         build_dag_set(&g, &csr, &w, &dests, tol, Parallelism::Never, &mut ws, &mut warm)
             .unwrap();
-        let dirty = vec![true; dests.len()];
-        rebuild_dag_set_slots(&g, &csr, &w2, &dirty, Parallelism::Never, &mut ws, &mut warm)
-            .unwrap();
+        let changes: Vec<EdgeChange> = g
+            .edge_ids()
+            .map(|edge| EdgeChange { edge, old_weight: w[edge.index()], was_enabled: true })
+            .collect();
+        let mut changed = vec![false; dests.len()];
+        repair_dag_set(&g, &csr, &w2, &changes, &mut ws, &mut warm, &mut changed).unwrap();
         check_against_legacy(&g, &w2, &warm, tol);
+    }
+
+    /// In-place repairs over scripts of weight changes (zero weights and
+    /// integer ties included) and mask toggles match dense builds on
+    /// every observable, step after step on the same arena.
+    #[test]
+    fn repairs_with_integer_ties_match_dense_builds(
+        (g, w) in tie_network(integer_weight),
+        script in script(),
+        tol in prop_oneof![Just(0.0f64), Just(1.0f64), 0.0f64..2.0],
+    ) {
+        let stats = check_repairs(&g, &w, integer_weight, &script, tol);
+        prop_assert!(stats.repaired + stats.fallbacks == stats.dirty);
+    }
+
+    /// The same with huge-plus-tiny weights, where additions are absorbed
+    /// by rounding and distances collapse onto each other.
+    #[test]
+    fn repairs_with_absorbed_additions_match_dense_builds(
+        (g, w) in tie_network(huge_or_tiny_weight),
+        script in script(),
+        tol in prop_oneof![Just(0.0f64), 0.0f64..2.0],
+    ) {
+        let stats = check_repairs(&g, &w, huge_or_tiny_weight, &script, tol);
+        prop_assert!(stats.repaired + stats.fallbacks == stats.dirty);
     }
 
     /// Huge-plus-tiny weights, where `d + w == d`: absorbed additions

@@ -99,6 +99,12 @@ impl TrafficMatrix {
         out
     }
 
+    /// All demands as one row-major slice: entry `s * node_count() + t`
+    /// is the demand from `s` to `t`.
+    pub fn as_row_major(&self) -> &[f64] {
+        &self.demands
+    }
+
     /// Writes the per-source demand vector `d^t` into `out` (resized to
     /// `node_count`), the allocation-free variant solver loops use.
     ///
