@@ -16,7 +16,7 @@ use spef_core::{RoutingEngine, SpefError, SpfStats};
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::ospf::{self, OspfRouting};
-use crate::util::shuffle;
+use crate::util::{rounded_invcap, shuffle};
 
 /// The Fortz–Thorup piecewise-linear link cost Φ.
 ///
@@ -107,11 +107,6 @@ pub struct FtConfig {
     pub restarts: usize,
     /// RNG seed for restart points and scan order.
     pub seed: u64,
-    /// Force dense SPF rebuilds for every probe (default `false`: the
-    /// engine's delta-aware incremental path repairs only destinations
-    /// the probed weight can affect — bit-identical results, so the
-    /// search trajectory is unchanged; only wall clock differs).
-    pub full_rebuild: bool,
 }
 
 impl Default for FtConfig {
@@ -121,7 +116,6 @@ impl Default for FtConfig {
             max_evaluations: 3000,
             restarts: 2,
             seed: 0x5eed,
-            full_rebuild: false,
         }
     }
 }
@@ -158,102 +152,103 @@ impl FtOutcome {
         traffic: &TrafficMatrix,
         config: &FtConfig,
     ) -> Result<FtOutcome, SpefError> {
-        let m = network.link_count();
-        let mut rng = StdRng::seed_from_u64(config.seed);
         // One batched engine evaluates every candidate: the thousands of
         // cost probes below rebuild DAGs and flows into reused arenas
-        // instead of allocating a full routing (FIB included) per probe.
-        // The winning routing is materialised once at the end.
+        // instead of allocating a full routing (FIB included) per probe;
+        // after a single-weight probe its delta path repairs only the
+        // destinations that weight can affect. The winning routing is
+        // materialised once at the end.
         let dests = ospf::validate_ospf_inputs(network, traffic)?;
         let mut engine = RoutingEngine::new(network.graph());
-        engine.set_incremental(!config.full_rebuild);
         let mut flows = engine.distribute_fresh();
-        let cost_of = |weights: &[f64],
-                       engine: &mut RoutingEngine<'_>,
-                       flows: &mut spef_core::Flows|
-         -> Result<f64, SpefError> {
-            ospf::route_flows_into(engine, traffic, &dests, weights, flows)?;
+        let mut cost_of = |weights: &[f64]| -> Result<f64, SpefError> {
+            ospf::route_flows_into(&mut engine, traffic, &dests, weights, &mut flows)?;
             Ok(FtCost.total_cost(network, flows.aggregate()))
         };
-
-        // Start points: rounded InvCap, then random vectors.
-        let max_cap = network
-            .capacities()
-            .iter()
-            .cloned()
-            .fold(f64::MIN_POSITIVE, f64::max);
-        let invcap: Vec<f64> = network
-            .capacities()
-            .iter()
-            .map(|c| (max_cap / c).round().clamp(1.0, config.max_weight as f64))
-            .collect();
-        let mut starts = vec![invcap];
-        for _ in 0..config.restarts {
-            starts.push(
-                (0..m)
-                    .map(|_| rng.random_range(1..=config.max_weight) as f64)
-                    .collect(),
-            );
-        }
-
-        let mut best: Option<(f64, Vec<f64>)> = None;
-        let mut trace = Vec::new();
-        let mut evaluations = 0;
-
-        for start in starts {
-            let mut weights = start;
-            let mut cost = cost_of(&weights, &mut engine, &mut flows)?;
-            evaluations += 1;
-            let mut improved = true;
-            while improved && evaluations < config.max_evaluations {
-                improved = false;
-                // Scan links in random order; first-improvement per link.
-                let mut order: Vec<usize> = (0..m).collect();
-                shuffle(&mut order, &mut rng);
-                'links: for e in order {
-                    let original = weights[e];
-                    for cand in 1..=config.max_weight {
-                        let cand = cand as f64;
-                        if cand == original {
-                            continue;
-                        }
-                        weights[e] = cand;
-                        let c_new = cost_of(&weights, &mut engine, &mut flows)?;
-                        evaluations += 1;
-                        if c_new < cost - 1e-9 {
-                            cost = c_new;
-                            improved = true;
-                            trace.push(cost);
-                            continue 'links; // keep the improvement, next link
-                        }
-                        weights[e] = original;
-                        if evaluations >= config.max_evaluations {
-                            break 'links;
-                        }
-                    }
-                }
-            }
-            match &best {
-                Some((bc, ..)) if *bc <= cost => {}
-                _ => best = Some((cost, weights.clone())),
-            }
-            if evaluations >= config.max_evaluations {
-                break;
-            }
-        }
-
-        let (cost, weights) = best.expect("at least one start point evaluated");
-        // Materialise the winning routing (flows + FIB) exactly once.
+        let (weights, cost, cost_trace, evaluations) = descend(network, config, &mut cost_of)?;
         let routing = OspfRouting::route_with_weights(network, traffic, &weights)?;
         Ok(FtOutcome {
             weights,
             cost,
             routing,
-            cost_trace: trace,
+            cost_trace,
             evaluations,
             spf_stats: engine.spf_stats(),
         })
     }
+}
+
+/// The search proper, over any candidate cost function: single-weight
+/// first-improvement descents from rounded InvCap and `restarts` random
+/// vectors, within the evaluation budget. The trajectory is a pure
+/// function of `(network, config, cost values)` — two cost functions
+/// that agree bit for bit walk the same path.
+///
+/// Returns `(weights, cost, cost_trace, evaluations)` of the best start.
+fn descend(
+    network: &Network,
+    config: &FtConfig,
+    cost_of: &mut dyn FnMut(&[f64]) -> Result<f64, SpefError>,
+) -> Result<(Vec<f64>, f64, Vec<f64>, usize), SpefError> {
+    let m = network.link_count();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut starts = vec![rounded_invcap(network, config.max_weight)];
+    for _ in 0..config.restarts {
+        starts.push(
+            (0..m)
+                .map(|_| rng.random_range(1..=config.max_weight) as f64)
+                .collect(),
+        );
+    }
+
+    let mut best: Option<(f64, Vec<f64>)> = None;
+    let mut trace = Vec::new();
+    let mut evaluations = 0;
+
+    for start in starts {
+        let mut weights = start;
+        let mut cost = cost_of(&weights)?;
+        evaluations += 1;
+        let mut improved = true;
+        while improved && evaluations < config.max_evaluations {
+            improved = false;
+            // Scan links in random order; first-improvement per link.
+            let mut order: Vec<usize> = (0..m).collect();
+            shuffle(&mut order, &mut rng);
+            'links: for e in order {
+                let original = weights[e];
+                for cand in 1..=config.max_weight {
+                    let cand = cand as f64;
+                    if cand == original {
+                        continue;
+                    }
+                    weights[e] = cand;
+                    let c_new = cost_of(&weights)?;
+                    evaluations += 1;
+                    if c_new < cost - 1e-9 {
+                        cost = c_new;
+                        improved = true;
+                        trace.push(cost);
+                        continue 'links; // keep the improvement, next link
+                    }
+                    weights[e] = original;
+                    if evaluations >= config.max_evaluations {
+                        break 'links;
+                    }
+                }
+            }
+        }
+        match &best {
+            Some((bc, ..)) if *bc <= cost => {}
+            _ => best = Some((cost, weights.clone())),
+        }
+        if evaluations >= config.max_evaluations {
+            break;
+        }
+    }
+
+    let (cost, weights) = best.expect("at least one start point evaluated");
+    Ok((weights, cost, trace, evaluations))
 }
 
 #[cfg(test)]
@@ -330,7 +325,6 @@ mod tests {
             max_evaluations: 2000,
             restarts: 1,
             seed: 7,
-            ..FtConfig::default()
         };
         let out = FtOutcome::local_search(&net, &tm, &cfg).unwrap();
         assert!(
@@ -351,7 +345,6 @@ mod tests {
             max_evaluations: 400,
             restarts: 1,
             seed: 3,
-            ..FtConfig::default()
         };
         let a = FtOutcome::local_search(&net, &tm, &cfg).unwrap();
         let b = FtOutcome::local_search(&net, &tm, &cfg).unwrap();
@@ -363,28 +356,26 @@ mod tests {
     fn incremental_probes_match_full_rebuild_search() {
         // The delta-aware engine path must not change the search
         // trajectory in any way: same accepted moves, same trace, same
-        // winner, bit for bit.
+        // winner, bit for bit, as a fresh engine per probe.
         let net = standard::fig4();
         let tm = standard::fig4_demands();
-        let base = FtConfig {
+        let cfg = FtConfig {
             max_weight: 8,
             max_evaluations: 600,
             restarts: 1,
             seed: 5,
-            ..FtConfig::default()
         };
-        let full = FtConfig {
-            full_rebuild: true,
-            ..base.clone()
+        let a = FtOutcome::local_search(&net, &tm, &cfg).unwrap();
+        let mut fresh_cost = |w: &[f64]| -> Result<f64, SpefError> {
+            let r = OspfRouting::route_with_weights(&net, &tm, w)?;
+            Ok(FtCost.total_cost(&net, r.flows().aggregate()))
         };
-        let a = FtOutcome::local_search(&net, &tm, &base).unwrap();
-        let b = FtOutcome::local_search(&net, &tm, &full).unwrap();
-        assert_eq!(a.weights, b.weights);
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        assert_eq!(a.cost_trace, b.cost_trace);
-        assert_eq!(a.evaluations, b.evaluations);
+        let (weights, cost, trace, evaluations) = descend(&net, &cfg, &mut fresh_cost).unwrap();
+        assert_eq!(a.weights, weights);
+        assert_eq!(a.cost.to_bits(), cost.to_bits());
+        assert_eq!(a.cost_trace, trace);
+        assert_eq!(a.evaluations, evaluations);
         assert!(a.spf_stats.incremental_builds > 0, "{:?}", a.spf_stats);
-        assert_eq!(b.spf_stats.incremental_builds, 0);
     }
 
     #[test]
@@ -396,7 +387,6 @@ mod tests {
             max_evaluations: 800,
             restarts: 0,
             seed: 1,
-            ..FtConfig::default()
         };
         let out = FtOutcome::local_search(&net, &tm, &cfg).unwrap();
         for w in out.cost_trace.windows(2) {

@@ -28,10 +28,9 @@
 //! destinations the circuit dirtied — the weights are unchanged, so the
 //! SPF fingerprint holds), and restored — no per-scenario engines, no
 //! per-scenario DAG arenas, O(dests·edges) peak memory instead of
-//! O(circuits·dests·edges). `full_rebuild` keeps the legacy path —
-//! degraded topologies pre-built once, one engine per scenario — as the
-//! regression baseline; both paths produce bit-identical costs, so the
-//! search trajectory is the same.
+//! O(circuits·dests·edges). The tests pin the costs bit for bit against
+//! fresh engines over per-circuit [`Network::without_links`] clones, so
+//! the search trajectory is the one those clones would walk.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +38,7 @@ use spef_core::{metrics, RoutingEngine, SpefError, SpfStats};
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::ospf;
-use crate::util::shuffle;
+use crate::util::{rounded_invcap, shuffle};
 
 /// Configuration of the robust weight search.
 ///
@@ -58,11 +57,6 @@ pub struct RobustConfig {
     pub max_evaluations: usize,
     /// RNG seed for the scan order.
     pub seed: u64,
-    /// Force dense SPF rebuilds for every probe on every scenario
-    /// (default `false`: each scenario engine's delta-aware incremental
-    /// path repairs only destinations the probed weight can affect —
-    /// bit-identical results, unchanged search trajectory).
-    pub full_rebuild: bool,
 }
 
 impl Default for RobustConfig {
@@ -71,7 +65,6 @@ impl Default for RobustConfig {
             max_weight: 20,
             max_evaluations: 150,
             seed: 0x0b57,
-            full_rebuild: false,
         }
     }
 }
@@ -92,13 +85,12 @@ pub struct RobustOutcome {
     /// Duplex circuits whose failure would disconnect the network,
     /// excluded from the scenario set (reported, never silent).
     pub skipped_circuits: usize,
-    /// SPF build counters summed over every engine the search used — how
-    /// many probe routings took the incremental/topology-delta paths and
-    /// how many destination slots they rebuilt.
+    /// SPF build counters of the search's engine — how many probe
+    /// routings took the incremental/topology-delta paths and how many
+    /// destination slots they rebuilt.
     pub spf_stats: SpfStats,
-    /// Peak bytes reserved by the search's routing arenas: one engine's
-    /// worth on the masked path, the sum over the intact and per-scenario
-    /// engines on the `full_rebuild` path.
+    /// Peak bytes reserved by the search's routing arenas (one engine's
+    /// worth, whatever the number of failure scenarios).
     pub arena_bytes: usize,
 }
 
@@ -117,94 +109,10 @@ impl RobustOutcome {
         traffic: &TrafficMatrix,
         config: &RobustConfig,
     ) -> Result<RobustOutcome, SpefError> {
-        let m = network.link_count();
         let dests = ospf::validate_ospf_inputs(network, traffic)?;
-        let mut rng = StdRng::seed_from_u64(config.seed);
 
-        // Start point: rounded InvCap (the FT convention).
-        let max_cap = network
-            .capacities()
-            .iter()
-            .cloned()
-            .fold(f64::MIN_POSITIVE, f64::max);
-        let start: Vec<f64> = network
-            .capacities()
-            .iter()
-            .map(|c| (max_cap / c).round().clamp(1.0, config.max_weight as f64))
-            .collect();
-
-        if config.full_rebuild {
-            // Legacy path: every degraded topology pre-built once, one
-            // engine + weight buffer + flow buffer per scenario. Kept as
-            // the regression baseline the masked path is diffed against.
-            let mut scenarios = Vec::new();
-            let mut skipped_circuits = 0usize;
-            for circuit in network.duplex_circuits() {
-                match network.without_links(&circuit) {
-                    Ok((degraded, kept)) => scenarios.push((degraded, kept)),
-                    Err(_) => skipped_circuits += 1,
-                }
-            }
-            let mut intact_engine = RoutingEngine::new(network.graph());
-            intact_engine.set_incremental(false);
-            let mut engines: Vec<RoutingEngine<'_>> = scenarios
-                .iter()
-                .map(|(degraded, _)| {
-                    let mut e = RoutingEngine::new(degraded.graph());
-                    e.set_incremental(false);
-                    e
-                })
-                .collect();
-            let mut degraded_weights: Vec<Vec<f64>> = scenarios
-                .iter()
-                .map(|(_, kept)| vec![0.0; kept.len()])
-                .collect();
-            let mut flows = intact_engine.distribute_fresh();
-            let mut scenario_flows: Vec<spef_core::Flows> = scenarios
-                .iter()
-                .map(|_| intact_engine.distribute_fresh())
-                .collect();
-
-            // Worst-case MLU of one candidate across all scenarios. The
-            // intact MLU is returned alongside so the final report does
-            // not need an extra pass.
-            let mut cost_of = |weights: &[f64]| -> Result<(f64, f64), SpefError> {
-                ospf::route_flows_into(&mut intact_engine, traffic, &dests, weights, &mut flows)?;
-                let intact = metrics::max_link_utilization(network, flows.aggregate());
-                let mut worst = intact;
-                for (i, (degraded, kept)) in scenarios.iter().enumerate() {
-                    let dw = &mut degraded_weights[i];
-                    for (slot, &old) in dw.iter_mut().zip(kept) {
-                        *slot = weights[old.index()];
-                    }
-                    let sf = &mut scenario_flows[i];
-                    ospf::route_flows_into(&mut engines[i], traffic, &dests, dw, sf)?;
-                    worst = worst.max(metrics::max_link_utilization(degraded, sf.aggregate()));
-                }
-                Ok((worst, intact))
-            };
-            let (weights, cost, intact_mlu, evaluations) =
-                first_improvement_search(m, config, &mut rng, start, &mut cost_of)?;
-
-            let mut spf_stats = intact_engine.spf_stats();
-            let mut arena_bytes = intact_engine.arena_bytes();
-            for e in &engines {
-                spf_stats.accumulate(e.spf_stats());
-                arena_bytes += e.arena_bytes();
-            }
-            return Ok(RobustOutcome {
-                weights,
-                worst_mlu: cost,
-                intact_mlu,
-                evaluations,
-                skipped_circuits,
-                spf_stats,
-                arena_bytes,
-            });
-        }
-
-        // Masked path: circuits are classified once (test-and-drop — no
-        // degraded Network is retained) and every candidate probes them
+        // Circuits are classified once (test-and-drop — no degraded
+        // Network is retained) and every candidate probes them
         // on the one shared engine via fail/restore round-trips. The
         // weights are identical across the intact and failed routings of
         // a candidate, so the SPF fingerprint holds through every mask
@@ -235,7 +143,7 @@ impl RobustOutcome {
             Ok((worst, intact))
         };
         let (weights, cost, intact_mlu, evaluations) =
-            first_improvement_search(m, config, &mut rng, start, &mut cost_of)?;
+            first_improvement_search(network, config, &mut cost_of)?;
         Ok(RobustOutcome {
             weights,
             worst_mlu: cost,
@@ -248,31 +156,33 @@ impl RobustOutcome {
     }
 }
 
-/// The shared first-improvement scan over integer weights: seeded-random
-/// link order, candidates `1..=max_weight` per link, keep the first
-/// candidate improving the cost, stop when a full rescan improves nothing
-/// or the evaluation budget runs out. The trajectory is a pure function
-/// of `(start, config, cost values)` — two cost functions that agree bit
-/// for bit walk the same path.
-///
 /// `(worst-case MLU, intact MLU)` of one candidate weight vector.
 type CandidateCost = Result<(f64, f64), SpefError>;
 
+/// The first-improvement scan over integer weights: starting from rounded
+/// InvCap (the FT convention), seeded-random link order, candidates
+/// `1..=max_weight` per link, keep the first candidate improving the
+/// cost, stop when a full rescan improves nothing or the evaluation
+/// budget runs out. The trajectory is a pure function of `(network,
+/// config, cost values)` — two cost functions that agree bit for bit
+/// walk the same path.
+///
 /// Returns `(weights, cost, intact_mlu, evaluations)`.
 fn first_improvement_search(
-    m: usize,
+    network: &Network,
     config: &RobustConfig,
-    rng: &mut StdRng,
-    mut weights: Vec<f64>,
     cost_of: &mut dyn FnMut(&[f64]) -> CandidateCost,
 ) -> Result<(Vec<f64>, f64, f64, usize), SpefError> {
+    let m = network.link_count();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut weights = rounded_invcap(network, config.max_weight);
     let (mut cost, mut intact_mlu) = cost_of(&weights)?;
     let mut evaluations = 1usize;
     let mut improved = true;
     while improved && evaluations < config.max_evaluations {
         improved = false;
         let mut order: Vec<usize> = (0..m).collect();
-        shuffle(&mut order, rng);
+        shuffle(&mut order, &mut rng);
         'links: for e in order {
             let original = weights[e];
             for cand in 1..=config.max_weight {
@@ -363,6 +273,23 @@ mod tests {
         assert_eq!(a.evaluations, b.evaluations);
     }
 
+    /// The reference cost: the intact routing plus one fresh engine over
+    /// each connected [`Network::without_links`] clone, weights remapped
+    /// through the surviving-link ids.
+    fn clone_cost(net: &Network, tm: &TrafficMatrix, weights: &[f64]) -> CandidateCost {
+        let intact = OspfRouting::route_with_weights(net, tm, weights)?.max_link_utilization(net);
+        let mut worst = intact;
+        for circuit in net.duplex_circuits() {
+            let Ok((degraded, kept)) = net.without_links(&circuit) else {
+                continue;
+            };
+            let dw: Vec<f64> = kept.iter().map(|&old| weights[old.index()]).collect();
+            let r = OspfRouting::route_with_weights(&degraded, tm, &dw)?;
+            worst = worst.max(r.max_link_utilization(&degraded));
+        }
+        Ok((worst, intact))
+    }
+
     #[test]
     fn incremental_probes_match_full_rebuild_search() {
         let (net, tm) = abilene_instance(0.05);
@@ -370,30 +297,17 @@ mod tests {
             max_evaluations: 60,
             ..RobustConfig::default()
         };
-        let full = RobustConfig {
-            full_rebuild: true,
-            ..cfg.clone()
-        };
         let a = RobustOutcome::local_search(&net, &tm, &cfg).unwrap();
-        let b = RobustOutcome::local_search(&net, &tm, &full).unwrap();
-        assert_eq!(a.weights, b.weights);
-        assert_eq!(a.worst_mlu.to_bits(), b.worst_mlu.to_bits());
-        assert_eq!(a.intact_mlu.to_bits(), b.intact_mlu.to_bits());
-        assert_eq!(a.evaluations, b.evaluations);
+        let (weights, worst, intact, evaluations) =
+            first_improvement_search(&net, &cfg, &mut |w| clone_cost(&net, &tm, w)).unwrap();
+        assert_eq!(a.weights, weights);
+        assert_eq!(a.worst_mlu.to_bits(), worst.to_bits());
+        assert_eq!(a.intact_mlu.to_bits(), intact.to_bits());
+        assert_eq!(a.evaluations, evaluations);
         assert!(a.spf_stats.incremental_builds > 0, "{:?}", a.spf_stats);
-        assert_eq!(b.spf_stats.incremental_builds, 0);
         // Every probe toggles the mask in place on the shared engine.
         assert!(a.spf_stats.topology_builds > 0, "{:?}", a.spf_stats);
         assert!(a.spf_stats.masked_links > 0, "{:?}", a.spf_stats);
-        assert_eq!(b.spf_stats.topology_builds, 0);
-        // The masked path holds one engine's worth of arenas; the rebuild
-        // path holds one per scenario on top of the intact engine.
-        assert!(
-            a.arena_bytes * 2 < b.arena_bytes,
-            "masked {} vs rebuild {}",
-            a.arena_bytes,
-            b.arena_bytes
-        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use spef_topology::Network;
 
 /// Fisher–Yates shuffle (the offline `rand` has no `SliceRandom` for this
 /// version's API surface), shared by the Fortz–Thorup and robust weight
@@ -11,6 +12,21 @@ pub(crate) fn shuffle(order: &mut [usize], rng: &mut StdRng) {
         let j = rng.random_range(0..=i);
         order.swap(i, j);
     }
+}
+
+/// The Fortz–Thorup start point: InvCap weights scaled so the largest
+/// link weighs 1, rounded to integers in `1..=max_weight`.
+pub(crate) fn rounded_invcap(network: &Network, max_weight: u32) -> Vec<f64> {
+    let max_cap = network
+        .capacities()
+        .iter()
+        .cloned()
+        .fold(f64::MIN_POSITIVE, f64::max);
+    network
+        .capacities()
+        .iter()
+        .map(|c| (max_cap / c).round().clamp(1.0, max_weight as f64))
+        .collect()
 }
 
 #[cfg(test)]

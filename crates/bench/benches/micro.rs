@@ -2,12 +2,14 @@
 //! dominate the experiment pipelines.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spef_baselines::fortz_thorup::{FtConfig, FtOutcome};
+use spef_baselines::fortz_thorup::{FtConfig, FtCost, FtOutcome};
+use spef_baselines::ospf::OspfRouting;
 use spef_baselines::robust::{RobustConfig, RobustOutcome};
+use spef_core::metrics::max_link_utilization;
 use spef_core::{
     build_dags, traffic_distribution, ConvergenceCriteria, FibSet, ForwardingTable,
     FrankWolfeConfig, NemConfig, NemInstance, Objective, RoutingEngine, SplitRule, TeInstance,
-    TeSolver, TeWorkspace,
+    TeSolver, TeWorkspace, STALE_WEIGHT_DAG_RTOL,
 };
 use spef_graph::{
     build_dag_set, Csr, DagSet, NodeId, Parallelism, RoutingWorkspace, ShortestPathDag,
@@ -823,11 +825,11 @@ fn bench_simulator(c: &mut Criterion) {
 }
 
 fn bench_incremental_spf(c: &mut Criterion) {
-    // The PR 9 full-vs-incremental pairs: single-weight probe loops whose
-    // SPF work the delta-aware engine trims to the dirty destinations.
-    // Both modes are run once during setup, asserted bit-identical, and
-    // the SPF counters (incl. mean dirty destinations per probe) are
-    // printed so the lanes double as the incremental-path witness.
+    // Single-weight probe loops whose SPF work the delta-aware engine
+    // trims to the dirty destinations. Setup checks each lane's answer
+    // bit for bit against fresh engines and prints the SPF counters
+    // (incl. mean dirty destinations per probe), so the lanes double as
+    // the incremental-path witness.
     let mut group = c.benchmark_group("incremental_spf");
     group.sample_size(10);
 
@@ -837,26 +839,21 @@ fn bench_incremental_spf(c: &mut Criterion) {
     // search, shorter trajectory) to keep lane wall time sane.
     let net = standard::abilene();
     let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.1);
-    let ft_full = FtConfig {
+    let ft_cfg = FtConfig {
         max_weight: 20,
         max_evaluations: 300,
         restarts: 1,
         seed: 0xF7,
-        full_rebuild: true,
-    };
-    let ft_incr = FtConfig {
-        full_rebuild: false,
-        ..ft_full
     };
     let t0 = std::time::Instant::now();
-    let full = FtOutcome::local_search(&net, &tm, &ft_full).expect("ft full");
-    let full_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = std::time::Instant::now();
-    let incr = FtOutcome::local_search(&net, &tm, &ft_incr).expect("ft incremental");
+    let incr = FtOutcome::local_search(&net, &tm, &ft_cfg).expect("ft incremental");
     let incr_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(full.cost.to_bits(), incr.cost.to_bits());
-    assert_eq!(full.weights, incr.weights);
-    assert_eq!(full.spf_stats.incremental_builds, 0);
+    let fresh = OspfRouting::route_with_weights(&net, &tm, &incr.weights).expect("fresh routing");
+    assert_eq!(
+        incr.cost.to_bits(),
+        FtCost.total_cost(&net, fresh.flows().aggregate()).to_bits(),
+        "probe-engine cost vs fresh-engine cost of the winner"
+    );
     assert!(
         incr.spf_stats.incremental_builds > 0,
         "FT probes never took the incremental path: {:?}",
@@ -864,17 +861,14 @@ fn bench_incremental_spf(c: &mut Criterion) {
     );
     let dests = tm.destinations().len() as f64;
     eprintln!(
-        "ft_local_search_abilene full vs incremental: {full_ms:.1}ms -> {incr_ms:.1}ms; \
+        "ft_local_search_abilene incremental: {incr_ms:.1}ms; \
          {} of {} builds incremental, mean dirty destinations/probe {:.2} of {dests}",
         incr.spf_stats.incremental_builds,
         incr.spf_stats.builds,
         incr.spf_stats.slots_rebuilt as f64 / incr.spf_stats.incremental_builds as f64,
     );
-    group.bench_function("ft_local_search_abilene_full", |b| {
-        b.iter(|| FtOutcome::local_search(&net, &tm, &ft_full).expect("ft full"))
-    });
     group.bench_function("ft_local_search_abilene_incremental", |b| {
-        b.iter(|| FtOutcome::local_search(&net, &tm, &ft_incr).expect("ft incremental"))
+        b.iter(|| FtOutcome::local_search(&net, &tm, &ft_cfg).expect("ft incremental"))
     });
 
     // Reconfiguration pushes on a 200-node tiered topology: every
@@ -905,105 +899,103 @@ fn bench_incremental_spf(c: &mut Criterion) {
         to[*e] *= 0.45 + 0.05 * k as f64;
     }
     let t0 = std::time::Instant::now();
-    let (full_out, full_stats) =
-        spef_experiments::reconfig::migrate_with(&hier, &htm, &from, &to, true).expect("reconfig");
-    let full_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = std::time::Instant::now();
     let (incr_out, incr_stats) =
-        spef_experiments::reconfig::migrate_with(&hier, &htm, &from, &to, false).expect("reconfig");
+        spef_experiments::reconfig::migrate_with(&hier, &htm, &from, &to).expect("reconfig");
     let incr_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(full_out, incr_out);
-    assert_eq!(full_stats.incremental_builds, 0);
+    // The naive order's peak, replayed on a fresh engine per state.
+    let hdest_ids = htm.destinations();
+    let fresh_mlu = |w: &[f64]| {
+        let max_w = w.iter().cloned().fold(0.0, f64::max);
+        let mut engine = RoutingEngine::new(hier.graph());
+        engine
+            .build_dags(w, &hdest_ids, STALE_WEIGHT_DAG_RTOL * max_w)
+            .expect("dags");
+        let flows = engine
+            .distribute(&htm, SplitRule::EvenEcmp)
+            .expect("routes");
+        max_link_utilization(&hier, flows.aggregate())
+    };
+    let mut w = from.clone();
+    let mut naive_peak = fresh_mlu(&w);
+    for e in 0..w.len() {
+        if w[e].to_bits() != to[e].to_bits() {
+            w[e] = to[e];
+            naive_peak = naive_peak.max(fresh_mlu(&w));
+        }
+    }
+    assert_eq!(incr_out.naive_peak_mlu.to_bits(), naive_peak.to_bits());
     assert!(
         incr_stats.incremental_builds > 0,
         "reconfig probes never took the incremental path: {incr_stats:?}"
     );
-    let hdests = htm.destinations().len() as u64;
+    let hdests = hdest_ids.len() as u64;
     assert!(
         incr_stats.slots_rebuilt * 3 <= incr_stats.incremental_builds * hdests,
         "mean dirty set per push probe is not <= 1/3 of the {hdests} destinations: {incr_stats:?}"
     );
     eprintln!(
-        "reconfig_push_hier200 full vs incremental: {full_ms:.1}ms -> {incr_ms:.1}ms; \
+        "reconfig_push_hier200 incremental: {incr_ms:.1}ms; \
          {} of {} builds incremental, mean dirty destinations/probe {:.2} of {hdests}",
         incr_stats.incremental_builds,
         incr_stats.builds,
         incr_stats.slots_rebuilt as f64 / incr_stats.incremental_builds as f64,
     );
-    group.bench_function("reconfig_push_hier200_full", |b| {
-        b.iter(|| {
-            spef_experiments::reconfig::migrate_with(&hier, &htm, &from, &to, true)
-                .expect("reconfig")
-        })
-    });
     group.bench_function("reconfig_push_hier200_incremental", |b| {
         b.iter(|| {
-            spef_experiments::reconfig::migrate_with(&hier, &htm, &from, &to, false)
-                .expect("reconfig")
+            spef_experiments::reconfig::migrate_with(&hier, &htm, &from, &to).expect("reconfig")
         })
     });
     group.finish();
 }
 
 fn bench_topology_delta(c: &mut Criterion) {
-    // The PR 10 masked-vs-rebuild pairs: failure scenarios handled by
-    // failing links *in place* (CSR masking + dirty-destination DAG
-    // patches on one persistent engine) against the legacy shape (one
-    // topology clone + one engine per scenario). Both modes run once
-    // during setup, are asserted bit-identical, and the topology-patch
-    // counters and arena footprints are printed so the lanes double as
-    // the topology-delta witness.
+    // Failure scenarios handled by failing links *in place* (CSR masking
+    // plus local DAG repairs on one persistent engine). Setup checks each
+    // lane's answer bit for bit against fresh engines over per-circuit
+    // degraded topology clones, and prints the topology-patch counters
+    // and arena footprint, so the lanes double as the topology-delta
+    // witness.
     let mut group = c.benchmark_group("topology_delta");
     group.sample_size(10);
 
     // Robust weight search on Abilene: every candidate weight vector is
     // scored against the intact network plus every single-circuit
-    // failure. The masked path keeps one engine and fail/restores each
-    // circuit around a routing; the rebuild path keeps an engine and a
-    // degraded topology clone per scenario.
+    // failure, on one engine that fail/restores each circuit around a
+    // routing.
     let net = standard::abilene();
     let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.05);
     let cfg_masked = RobustConfig {
         max_evaluations: 60,
         ..RobustConfig::default()
     };
-    let cfg_rebuild = RobustConfig {
-        full_rebuild: true,
-        ..cfg_masked
-    };
-    let t0 = std::time::Instant::now();
-    let rebuild = RobustOutcome::local_search(&net, &tm, &cfg_rebuild).expect("robust rebuild");
-    let rebuild_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = std::time::Instant::now();
     let masked = RobustOutcome::local_search(&net, &tm, &cfg_masked).expect("robust masked");
     let masked_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(rebuild.weights, masked.weights);
-    assert_eq!(rebuild.worst_mlu.to_bits(), masked.worst_mlu.to_bits());
-    assert_eq!(rebuild.intact_mlu.to_bits(), masked.intact_mlu.to_bits());
-    assert_eq!(rebuild.spf_stats.topology_builds, 0);
+    // The winner's worst case, re-scored over degraded clones.
+    let intact = OspfRouting::route_with_weights(&net, &tm, &masked.weights)
+        .expect("intact routing")
+        .max_link_utilization(&net);
+    let mut worst = intact;
+    for circuit in net.duplex_circuits() {
+        let Ok((degraded, kept)) = net.without_links(&circuit) else {
+            continue;
+        };
+        let dw: Vec<f64> = kept.iter().map(|&e| masked.weights[e.index()]).collect();
+        let r = OspfRouting::route_with_weights(&degraded, &tm, &dw).expect("degraded routing");
+        worst = worst.max(r.max_link_utilization(&degraded));
+    }
+    assert_eq!(masked.worst_mlu.to_bits(), worst.to_bits());
+    assert_eq!(masked.intact_mlu.to_bits(), intact.to_bits());
     assert!(
         masked.spf_stats.topology_builds > 0,
         "masked search never took the topology-patch path: {:?}",
         masked.spf_stats
     );
-    assert!(
-        masked.arena_bytes * 2 < rebuild.arena_bytes,
-        "masked search arenas ({}) are not under half the per-scenario \
-         engines' ({})",
-        masked.arena_bytes,
-        rebuild.arena_bytes
-    );
     eprintln!(
-        "robust_search_abilene rebuild vs masked: {rebuild_ms:.1}ms -> {masked_ms:.1}ms; \
-         {} topology patches over {} masked links, arenas {} -> {} bytes",
-        masked.spf_stats.topology_builds,
-        masked.spf_stats.masked_links,
-        rebuild.arena_bytes,
-        masked.arena_bytes
+        "robust_search_abilene masked: {masked_ms:.1}ms; \
+         {} topology patches over {} masked links, arenas {} bytes",
+        masked.spf_stats.topology_builds, masked.spf_stats.masked_links, masked.arena_bytes
     );
-    group.bench_function("robust_search_abilene_rebuild", |b| {
-        b.iter(|| RobustOutcome::local_search(&net, &tm, &cfg_rebuild).expect("robust rebuild"))
-    });
     group.bench_function("robust_search_abilene_masked", |b| {
         b.iter(|| RobustOutcome::local_search(&net, &tm, &cfg_masked).expect("robust masked"))
     });
@@ -1012,8 +1004,8 @@ fn bench_topology_delta(c: &mut Criterion) {
     // failure-sweep shape, one fail/route/restore round trip per circuit
     // with no topology clone. Probed with a varied (non-InvCap) weight
     // vector, which thins the DAGs; every dirty slot is repaired in
-    // place. Bit-identity vs the per-circuit full-rebuild probe is
-    // asserted in setup (and vs cold degraded topologies in
+    // place. Bit-identity vs a probe that starts every call from a fresh
+    // engine is asserted in setup (and vs cold degraded topologies in
     // `reconfig::tests::mlu_probe_matches_degraded_free_function`).
     let w: Vec<f64> = (0..net.link_count())
         .map(|e| 1.0 + (e % 7) as f64)
@@ -1025,15 +1017,15 @@ fn bench_topology_delta(c: &mut Criterion) {
         .filter(|c| net.without_links(c).is_ok())
         .collect();
     let mut probe = spef_experiments::reconfig::MluProbe::new(false);
-    let mut full_probe = spef_experiments::reconfig::MluProbe::new(true);
+    let mut fresh_probe = spef_experiments::reconfig::MluProbe::new(true);
     for circuit in &circuits {
         let a = probe
             .mlu(&net, &tm, &dests, &w, 0.0, circuit)
             .expect("masked probe");
-        let b = full_probe
+        let b = fresh_probe
             .mlu(&net, &tm, &dests, &w, 0.0, circuit)
-            .expect("full probe");
-        assert_eq!(a.to_bits(), b.to_bits(), "masked vs full-rebuild MLU");
+            .expect("fresh probe");
+        assert_eq!(a.to_bits(), b.to_bits(), "masked vs fresh-engine MLU");
     }
     let stats = probe.spf_stats();
     assert!(

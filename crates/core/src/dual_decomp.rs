@@ -111,25 +111,6 @@ pub struct DualDecompOutcome {
 /// neutral.
 pub const WEIGHT_FLOOR: f64 = 1e-9;
 
-/// Runs Algorithm 1 cold on a fresh workspace.
-///
-/// # Errors
-///
-/// * [`SpefError::InvalidInput`] on size mismatches or an empty matrix,
-/// * [`SpefError::UnroutableDemand`] if a demand pair is disconnected.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `TeSolver::solve` / `solve_in` on `DualDecompConfig`"
-)]
-pub fn solve(
-    network: &Network,
-    traffic: &TrafficMatrix,
-    objective: &Objective,
-    config: &DualDecompConfig,
-) -> Result<DualDecompOutcome, SpefError> {
-    solve_in(network, traffic, objective, config, &mut TeWorkspace::new())
-}
-
 /// Runs Algorithm 1 in the caller's workspace.
 ///
 /// A topology/destination-compatible saved multiplier vector seeds `w(0)`

@@ -189,9 +189,6 @@ pub struct EngineState {
     last_tolerance: f64,
     dags_valid: bool,
     spf_builds: u64,
-    /// `true` forces dense rebuilds everywhere (the delta-aware
-    /// incremental paths off). Default `false`: incremental on.
-    full_rebuild_only: bool,
     /// Changed-edge scratch of the weight diff and the mask toggles.
     changes: Vec<EdgeChange>,
     /// Per-slot "DAG changed" flags of the repair in progress.
@@ -291,19 +288,6 @@ impl EngineState {
             self.pending.resize(self.slot_changed.len(), false);
             self.pending_all = true;
         }
-    }
-
-    /// Enables/disables the delta-aware incremental rebuild and
-    /// redistribution paths (enabled by default). Disabling forces every
-    /// non-skipped build/distribution to run dense — results are
-    /// bit-identical either way; only wall clock changes.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.full_rebuild_only = !enabled;
-    }
-
-    /// Whether the incremental paths are enabled.
-    pub fn incremental(&self) -> bool {
-        !self.full_rebuild_only
     }
 
     /// Drops the DAG fingerprint so the next
@@ -415,11 +399,6 @@ impl<'g> RoutingEngine<'g> {
         self.state.spf_stats()
     }
 
-    /// See [`EngineState::set_incremental`].
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.state.set_incremental(enabled);
-    }
-
     /// See [`EngineState::arena_bytes`].
     pub fn arena_bytes(&self) -> usize {
         self.state.arena_bytes()
@@ -465,9 +444,8 @@ impl<'g> RoutingEngine<'g> {
         {
             return Ok(());
         }
-        let try_incremental = fingerprint_matches && !s.full_rebuild_only;
         s.dags_valid = false;
-        if try_incremental && self.build_dags_incremental(weights, dests, tolerance)? {
+        if fingerprint_matches && self.build_dags_incremental(weights, dests, tolerance)? {
             return Ok(());
         }
         let s = &mut self.state;
@@ -564,8 +542,8 @@ impl<'g> RoutingEngine<'g> {
     /// place (see [`build_dags`](Self::build_dags)). The call
     /// falls back to invalidating the fingerprint — so the next
     /// [`build_dags`](Self::build_dags) runs dense over the masked view —
-    /// when there is no cached build to patch, incremental paths are off,
-    /// or more than a quarter of the links are masked.
+    /// when there is no cached build to patch or more than a quarter of
+    /// the links are masked.
     ///
     /// Masking is idempotent: already-masked links are skipped. The mask
     /// survives [`into_state`](Self::into_state)/[`with_state`]
@@ -653,7 +631,7 @@ impl<'g> RoutingEngine<'g> {
             .as_ref()
             .expect("attached engine has a CSR")
             .masked_count();
-        if s.full_rebuild_only || masked * 4 > m * MASK_MAX_MASKED_QUARTERS {
+        if masked * 4 > m * MASK_MAX_MASKED_QUARTERS {
             s.invalidate();
             return Ok(());
         }
@@ -818,8 +796,7 @@ impl<'g> RoutingEngine<'g> {
                         .all(|(a, b)| a.to_bits() == b.to_bits())
             }
         };
-        if s.full_rebuild_only
-            || !s.dags_valid
+        if !s.dags_valid
             || !s.tables_valid
             || !s.demand_cache_valid
             || s.pending_all
@@ -1225,8 +1202,9 @@ mod tests {
         assert_eq!(a.aggregate(), b.aggregate());
     }
 
-    /// One full build+distribute cycle on a fresh dense engine; the
-    /// reference every incremental test compares against.
+    /// One full build+distribute cycle on a fresh engine (whose first
+    /// build is always dense); the reference every incremental test
+    /// compares against.
     fn dense_reference(
         net: &spef_topology::Network,
         tm: &TrafficMatrix,
@@ -1235,7 +1213,6 @@ mod tests {
         tol: f64,
     ) -> Flows {
         let mut engine = RoutingEngine::new(net.graph());
-        engine.set_incremental(false);
         engine.build_dags(w, dests, tol).unwrap();
         let mut flows = engine.distribute_fresh();
         engine
@@ -1307,28 +1284,6 @@ mod tests {
                 .unwrap();
             assert_eq!(flows, dense_reference(&net, &tm, &dests, &w, tol));
         }
-    }
-
-    #[test]
-    fn incremental_off_switch_forces_dense() {
-        let net = standard::fig4();
-        let tm = standard::fig4_demands();
-        let dests = tm.destinations();
-        let mut w = vec![1.0; net.link_count()];
-        let mut engine = RoutingEngine::new(net.graph());
-        engine.set_incremental(false);
-        engine.build_dags(&w, &dests, 0.0).unwrap();
-        let mut flows = engine.distribute_fresh();
-        engine
-            .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
-            .unwrap();
-        w[2] = 5.0;
-        engine.build_dags(&w, &dests, 0.0).unwrap();
-        engine
-            .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
-            .unwrap();
-        assert_eq!(engine.spf_stats().incremental_builds, 0);
-        assert_eq!(flows, dense_reference(&net, &tm, &dests, &w, 0.0));
     }
 
     #[test]
@@ -1471,19 +1426,19 @@ mod tests {
     }
 
     #[test]
-    fn fail_links_with_incremental_off_still_matches_cold() {
+    fn fail_links_before_first_build_matches_cold() {
+        // No cached build to patch: the mask only invalidates, and the
+        // first build runs dense over the masked view.
         let net = standard::fig4();
         let tm = standard::fig4_demands();
         let dests = tm.destinations();
         let w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
         let mut engine = RoutingEngine::new(net.graph());
-        engine.set_incremental(false);
-        engine.build_dags(&w, &dests, 0.0).unwrap();
-        let mut flows = engine.distribute_fresh();
         let circuit = [spef_graph::EdgeId::new(0)];
         let (degraded, kept) = net.without_links(&circuit).unwrap();
         engine.fail_links(&circuit).unwrap();
         engine.build_dags(&w, &dests, 0.0).unwrap();
+        let mut flows = engine.distribute_fresh();
         engine
             .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
             .unwrap();

@@ -122,8 +122,12 @@ impl<'a> SmoothedUtility<'a> {
     }
 }
 
-/// Solves `TE(V, G, c, D)` for β > 0. Called through
-/// [`solve_te`](crate::solve_te), which handles the β = 0 LP case.
+/// Solves `TE(V, G, c, D)` for β > 0: workspace-resident buffers,
+/// warm-start from a compatible saved solution (proportional demand
+/// rescale), cold fallback otherwise. Reached through the
+/// [`TeSolver`](crate::TeSolver) impl on [`FrankWolfeConfig`] (via
+/// [`solve_te_in`](crate::te::solve_te_in), which adds the β = 0 LP
+/// dispatch).
 ///
 /// # Errors
 ///
@@ -132,25 +136,6 @@ impl<'a> SmoothedUtility<'a> {
 /// * [`SpefError::UnroutableDemand`] if a demand pair is disconnected;
 /// * [`SpefError::Infeasible`] if the optimum cannot keep every link
 ///   strictly below capacity.
-#[deprecated(
-    note = "use the TeSolver session API: `config.solve(TeInstance::new(network, traffic, objective))` \
-            or `solve_in` with a TeWorkspace (note: the trait solves beta = 0 via the LP instead of erroring)"
-)]
-pub fn solve(
-    network: &Network,
-    traffic: &TrafficMatrix,
-    objective: &Objective,
-    config: &FrankWolfeConfig,
-) -> Result<TeSolution, SpefError> {
-    solve_in(network, traffic, objective, config, &mut TeWorkspace::new())
-}
-
-/// The session entry point for β > 0: workspace-resident buffers,
-/// warm-start from a compatible saved solution (proportional demand
-/// rescale), cold fallback otherwise. Reached through the
-/// [`TeSolver`](crate::TeSolver) impl on [`FrankWolfeConfig`] (via
-/// [`solve_te_in`](crate::te::solve_te_in), which adds the β = 0 LP
-/// dispatch).
 pub(crate) fn solve_in(
     network: &Network,
     traffic: &TrafficMatrix,
@@ -161,7 +146,7 @@ pub(crate) fn solve_in(
     crate::te::validate_sizes(network, traffic, objective)?;
     if objective.beta() == 0.0 {
         return Err(SpefError::InvalidInput(
-            "Frank-Wolfe requires beta > 0; beta = 0 is solved as an LP by solve_te".to_string(),
+            "Frank-Wolfe requires beta > 0; beta = 0 is solved as an LP by solve_te_in".to_string(),
         ));
     }
     let dests = traffic.destinations();
@@ -395,8 +380,8 @@ mod tests {
     use spef_graph::NodeId;
     use spef_topology::standard;
 
-    /// Session-API stand-in for the deprecated free function (same
-    /// contract: β = 0 is rejected, not LP-dispatched).
+    /// Cold solve on a fresh workspace (β = 0 is rejected, not
+    /// LP-dispatched).
     fn solve(
         network: &Network,
         traffic: &TrafficMatrix,

@@ -69,40 +69,10 @@ pub struct NemOutcome {
 }
 
 /// Runs Algorithm 2: computes second weights `v` such that exponential
-/// splitting over `dags` reproduces the target distribution within ε.
-///
-/// `dags` must be aligned with `traffic.destinations()` and
-/// `target_flows` is the aggregate optimal distribution `f*`.
-///
-/// # Errors
-///
-/// * [`SpefError::InvalidInput`] on size mismatches and on a target flow
-///   that is NaN, infinite or negative,
-/// * [`SpefError::UnroutableDemand`] if a demand pair has no path on its
-///   DAG (can happen with aggressively rounded integer weights).
-#[deprecated(
-    note = "use the TeSolver session API: `config.solve(NemInstance::new(graph, dags, traffic, target_flows))` \
-            or `solve_in` with a TeWorkspace"
-)]
-pub fn solve_second_weights(
-    graph: &Graph,
-    dags: &[ShortestPathDag],
-    traffic: &TrafficMatrix,
-    target_flows: &[f64],
-    config: &NemConfig,
-) -> Result<NemOutcome, SpefError> {
-    solve_in(
-        graph,
-        dags,
-        traffic,
-        target_flows,
-        config,
-        &mut TeWorkspace::new(),
-    )
-}
-
-/// The session entry point: split tables, demand columns, flow vectors
-/// and the dual iterate `v` live in the workspace. A saved `v` for the
+/// splitting over `dags` (aligned with `traffic.destinations()`)
+/// reproduces the aggregate target distribution `target_flows` (`f*`)
+/// within ε. Split tables, demand columns, flow vectors and the dual
+/// iterate `v` live in the workspace. A saved `v` for the
 /// same graph and destination set seeds the run (any `v ≥ 0` is a valid
 /// projected-gradient start); otherwise `v(0) = 0` as in §V.F. Reached
 /// through the [`TeSolver`](crate::TeSolver) impl on [`NemConfig`].

@@ -96,27 +96,6 @@ pub struct SpefRouting {
 }
 
 impl SpefRouting {
-    /// Builds SPEF routing cold on a fresh workspace — Algorithm 4 of the
-    /// paper.
-    ///
-    /// # Errors
-    ///
-    /// * [`SpefError::Infeasible`] if the demands are not routable,
-    /// * [`SpefError::UnroutableDemand`] for disconnected demand pairs,
-    /// * [`SpefError::InvalidInput`] for size mismatches.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `TeSolver::solve` / `solve_in` on `SpefConfig`"
-    )]
-    pub fn build(
-        network: &Network,
-        traffic: &TrafficMatrix,
-        objective: &Objective,
-        config: &SpefConfig,
-    ) -> Result<SpefRouting, SpefError> {
-        build_in(network, traffic, objective, config, &mut TeWorkspace::new())
-    }
-
     /// The deployed first link weights (post-processed per the weight
     /// mode).
     pub fn first_weights(&self) -> &[f64] {
@@ -378,7 +357,7 @@ fn route_stages(
 /// the maximum Bellman slack `w_uv + dist(v) − dist(u)` over edges carrying
 /// at least 1% of their commodity's peak flow, padded by 10%.
 ///
-/// This is the tolerance [`SpefRouting::build`] derives for
+/// This is the tolerance the SPEF pipeline derives for
 /// [`WeightMode::Exact`]; it is exported for callers that build DAGs from
 /// solver weights directly (e.g. the convergence experiments).
 ///

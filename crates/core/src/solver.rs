@@ -953,9 +953,6 @@ pub struct TeWorkspace {
     /// matches the requested graph, so both sides of the alternation stay
     /// warm.
     engine_alt: Option<EngineState>,
-    /// `true` disables the engine's delta-aware incremental rebuild
-    /// paths (dense rebuilds only); default `false` = incremental on.
-    full_rebuild_only: bool,
     /// Destination tile size for the iterative solvers' build/distribute
     /// cycles; `None` = dense (one arena over all destinations).
     pub(crate) tile: Option<usize>,
@@ -1021,26 +1018,6 @@ impl TeWorkspace {
         self.dd.forget();
     }
 
-    /// Enables/disables the engine's delta-aware incremental rebuild
-    /// paths for subsequent solves (enabled by default). After a small
-    /// weight delta, an incremental re-solve repairs only the dirty
-    /// destinations' DAGs and split tables; results are bit-identical to
-    /// dense rebuilds either way — only wall clock changes.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.full_rebuild_only = !enabled;
-        for engine in [self.engine.as_mut(), self.engine_alt.as_mut()]
-            .into_iter()
-            .flatten()
-        {
-            engine.set_incremental(enabled);
-        }
-    }
-
-    /// Whether the incremental engine paths are enabled.
-    pub fn incremental(&self) -> bool {
-        !self.full_rebuild_only
-    }
-
     /// The SPF build counters summed over both engine slots (zeroes
     /// before the first solve); `last_dirty` is the maximum over the
     /// slots, as "most recent" is meaningless across two engines.
@@ -1066,7 +1043,7 @@ impl TeWorkspace {
             .engine
             .as_ref()
             .is_some_and(|s| s.matches_topology(graph));
-        let mut state = if primary_matches {
+        if primary_matches {
             self.engine.take().expect("checked above")
         } else if self
             .engine_alt
@@ -1080,9 +1057,7 @@ impl TeWorkspace {
             // Both slots warm on other topologies: recycle the secondary
             // slot's arenas for the new one.
             self.engine_alt.take().expect("checked above")
-        };
-        state.set_incremental(!self.full_rebuild_only);
-        state
+        }
     }
 
     /// Returns the engine state after a session, into the first free slot

@@ -1,7 +1,7 @@
 //! The optimal traffic-engineering problem `TE(V, G, c, D)` (Eq. 5) and its
 //! solution type.
 //!
-//! `solve_te` dispatches on the objective's β:
+//! `solve_te_in` dispatches on the objective's β:
 //!
 //! * **β > 0** — the strictly concave case; solved by the primal
 //!   [Frank–Wolfe reference solver](crate::frank_wolfe). First weights are
@@ -39,27 +39,6 @@ pub struct TeSolution {
     pub relative_gap: f64,
     /// Iterations the solver spent.
     pub iterations: usize,
-}
-
-/// Solves `TE(V, G, c, D)` cold on a fresh workspace.
-///
-/// # Errors
-///
-/// * [`SpefError::Infeasible`] if the demands cannot be routed strictly
-///   within capacity,
-/// * [`SpefError::InvalidInput`] on size mismatches,
-/// * [`SpefError::UnroutableDemand`] if some demand pair is disconnected.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `TeSolver::solve` / `solve_in` on `FrankWolfeConfig`"
-)]
-pub fn solve_te(
-    network: &Network,
-    traffic: &TrafficMatrix,
-    objective: &Objective,
-    config: &FrankWolfeConfig,
-) -> Result<TeSolution, SpefError> {
-    solve_te_in(network, traffic, objective, config, &mut TeWorkspace::new())
 }
 
 /// Solves `TE(V, G, c, D)` in the caller's workspace: β > 0 runs the
@@ -216,7 +195,7 @@ mod tests {
     use super::*;
     use spef_topology::standard;
 
-    /// Cold-solve helper shadowing the deprecated free function.
+    /// Cold solve on a fresh workspace.
     fn solve_te(
         network: &Network,
         traffic: &TrafficMatrix,

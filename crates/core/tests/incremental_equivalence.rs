@@ -51,7 +51,8 @@ fn random_instance(
     })
 }
 
-/// One cold dense reference step: fresh engine, incremental off.
+/// One cold dense reference step: a fresh engine, whose first build is
+/// always dense.
 fn cold_flows(
     net: &spef_topology::Network,
     tm: &TrafficMatrix,
@@ -61,7 +62,6 @@ fn cold_flows(
     rule: SplitRule<'_>,
 ) -> Result<spef_core::Flows, SpefError> {
     let mut engine = RoutingEngine::new(net.graph());
-    engine.set_incremental(false);
     engine.build_dags(w, dests, tol).unwrap();
     let mut out = engine.distribute_fresh();
     engine.distribute_into(tm, rule, &mut out)?;
@@ -99,7 +99,6 @@ fn assert_step_matches(
         (a, b) => prop_assert!(false, "engine routed {a:?}, cold engine {b:?}"),
     }
     let mut cold_engine = RoutingEngine::new(net.graph());
-    cold_engine.set_incremental(false);
     cold_engine.build_dags(w, dests, tol).unwrap();
     for i in 0..dests.len() {
         let (a, b) = (engine.dag_set().dag(i), cold_engine.dag_set().dag(i));
@@ -345,8 +344,8 @@ proptest! {
     }
 
     /// `TeWorkspace` exposure: warm Frank–Wolfe re-solves on an
-    /// incremental workspace — with `clear_solutions` and an incremental
-    /// toggle between solves — reproduce the cold solve bit for bit.
+    /// incremental workspace — with `clear_solutions` between solves —
+    /// reproduce the cold solve bit for bit.
     #[test]
     fn workspace_sessions_match_cold_across_clear_solutions(
         (net, tm, _script) in random_instance(),
@@ -362,15 +361,12 @@ proptest! {
         let cold_hi = fw.solve(TeInstance::new(&net, &tm_hi, &obj)).unwrap();
 
         let mut ws = TeWorkspace::new();
-        prop_assert!(ws.incremental());
         for (round, (demand, cold)) in [(&tm, &cold_lo), (&tm_hi, &cold_hi), (&tm, &cold_lo)]
             .into_iter()
             .enumerate()
         {
-            match round {
-                1 => ws.clear_solutions(),
-                2 => ws.set_incremental(false),
-                _ => {}
+            if round == 1 {
+                ws.clear_solutions();
             }
             let warm = fw.solve_in(TeInstance::new(&net, demand, &obj), &mut ws).unwrap();
             prop_assert!(bits_eq(&warm.weights, &cold.weights));

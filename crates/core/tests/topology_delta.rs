@@ -106,7 +106,6 @@ fn assert_matches_degraded(
     let (degraded, kept) = net.without_links(failed).unwrap();
     let dw: Vec<f64> = kept.iter().map(|&e| w[e.index()]).collect();
     let mut cold = RoutingEngine::new(degraded.graph());
-    cold.set_incremental(false);
     cold.build_dags(&dw, dests, tol).unwrap();
     let mut cold_flows = cold.distribute_fresh();
     let cold_routed = cold.distribute_into(tm, SplitRule::EvenEcmp, &mut cold_flows);
@@ -258,7 +257,6 @@ proptest! {
         engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
 
         let mut pristine = RoutingEngine::new(net.graph());
-        pristine.set_incremental(false);
         pristine.build_dags(&w, &dests, 0.0).unwrap();
         let mut pflows = pristine.distribute_fresh();
         pristine.distribute_into(&tm, SplitRule::EvenEcmp, &mut pflows).unwrap();

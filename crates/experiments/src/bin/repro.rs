@@ -19,12 +19,8 @@
 //! repro sweep --family scale --tile 64   # same ladder, tiled arenas:
 //!                                        # results must not move a bit
 //! repro sweep --family all     # te grid + sim grid, one report (PR 6 gate)
-//! repro sweep --family all --cold-solves   # same grid, isolated cold solves:
-//!                                          # results must not move a bit
 //! repro sweep --family sim --sim-scheduler heap   # same grid, heap scheduler:
 //!                                                 # results must not move a bit
-//! repro sweep --family te --full-rebuild   # dense SPF rebuilds everywhere:
-//!                                          # results must not move a bit
 //!
 //! repro diff BENCH_a.json BENCH_b.json   # fail on any scenario-result drift
 //! ```
@@ -87,6 +83,15 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// Rejects a flag's values outside the domain the scenario builders
+/// accept (they assert on it), naming the flag and the first bad value.
+fn require(flag: &str, vals: &[f64], domain: &str, ok: fn(f64) -> bool) -> Result<(), String> {
+    match vals.iter().find(|&&v| !ok(v)) {
+        Some(v) => Err(format!("{flag}: {v} is out of range (must be {domain})")),
+        None => Ok(()),
+    }
+}
+
 /// Parses and runs `repro sweep ...`, returning the process exit code.
 fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     let mut grid = ScenarioGrid::new();
@@ -113,15 +118,7 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         if arg.starts_with("--")
             && !matches!(
                 arg.as_str(),
-                "--family"
-                    | "--json"
-                    | "--serial"
-                    | "--cold-solves"
-                    | "--sim-scheduler"
-                    | "--tile"
-                    | "--full-rebuild"
-                    | "--help"
-                    | "-h"
+                "--family" | "--json" | "--serial" | "--sim-scheduler" | "--tile" | "--help" | "-h"
             )
         {
             grid_customised = true;
@@ -170,17 +167,29 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             }
             "--loads" => {
                 let val = value("--loads")?;
-                grid = grid.loads(parse_f64s("--loads", &val)?);
+                let loads = parse_f64s("--loads", &val)?;
+                require("--loads", &loads, "finite and non-negative", |v| {
+                    v.is_finite() && v >= 0.0
+                })?;
+                grid = grid.loads(loads);
             }
             "--betas" => {
                 let val = value("--betas")?;
-                grid = grid.betas(parse_f64s("--betas", &val)?);
+                let betas = parse_f64s("--betas", &val)?;
+                require("--betas", &betas, "finite and non-negative", |v| {
+                    v.is_finite() && v >= 0.0
+                })?;
+                grid = grid.betas(betas);
             }
             "--q" => {
                 let val = value("--q")?;
-                grid = grid.q(val
+                let q = val
                     .parse::<f64>()
-                    .map_err(|e| format!("--q: invalid value {val:?}: {e}"))?);
+                    .map_err(|e| format!("--q: invalid value {val:?}: {e}"))?;
+                require("--q", &[q], "finite and positive", |v| {
+                    v.is_finite() && v > 0.0
+                })?;
+                grid = grid.q(q);
             }
             "--solvers" => {
                 let val = value("--solvers")?;
@@ -238,8 +247,6 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             }
             "--json" => json_path = PathBuf::from(value("--json")?),
             "--serial" => options.serial = true,
-            "--cold-solves" => options.cold_solves = true,
-            "--full-rebuild" => options.full_rebuild = true,
             "--tile" => {
                 let val = value("--tile")?;
                 let tile = val
@@ -257,7 +264,7 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                      [--solvers fw|fw-fast|fw-pinned|dd|ft] [--traffic ft|gravity] \
                      [--base-seed N] [--sim-durations 2,5] [--sim-warmup-frac 0.1] \
                      [--sim-unit 1e6] [--sim-seed N] [--sim-scheduler calendar|heap] \
-                     [--json FILE] [--serial] [--cold-solves] [--tile N] [--full-rebuild]"
+                     [--json FILE] [--serial] [--tile N]"
                 );
                 return Ok(ExitCode::SUCCESS);
             }

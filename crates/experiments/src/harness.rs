@@ -19,10 +19,10 @@
 //! workspace's saved solver trajectories are dropped
 //! ([`spef_core::TeWorkspace::clear_solutions`]), so each scenario still
 //! runs the exact cold iteration sequence and every deterministic result
-//! field is bit-identical to an isolated run —
-//! [`BatchOptions::cold_solves`] forces those isolated runs for
-//! baseline-capture and A/B proofs. Every scenario carries its own seed,
-//! so the parallel schedule cannot change any result either way.
+//! field is bit-identical to an isolated run — [`run_scenario`], a chain
+//! of one, is that isolated run, and the tests pin chains against it.
+//! Every scenario carries its own seed, so the parallel schedule cannot
+//! change any result either way.
 //!
 //! ```
 //! use spef_experiments::harness::{run_batch, BatchOptions};
@@ -677,25 +677,12 @@ pub struct BatchOptions {
     /// are bit-identical either way — the flag exists so the regression
     /// gate and benchmarks can prove exactly that.
     pub sim_scheduler: SchedulerKind,
-    /// Solve every scenario in its own fresh workspace with no chain
-    /// grouping or solve sharing (the pre-PR 6 execution model). Results
-    /// are bit-identical to the default dependency-aware mode — the flag
-    /// exists to capture `pre` baselines and let `repro diff` prove exactly
-    /// that.
-    pub cold_solves: bool,
     /// Destination tile size for the routing arenas
     /// ([`TeWorkspace::set_tile_size`]); `None` = dense. A pure execution
     /// knob: results are bit-identical for every tile size, only peak
     /// memory (and the warm-start fingerprint) changes — the regression
     /// gate cross-diffs tiled vs dense sweeps to prove exactly that.
     pub tile: Option<usize>,
-    /// Force dense SPF rebuilds everywhere
-    /// ([`TeWorkspace::set_incremental`] off, and dense probes in the
-    /// Fortz–Thorup rows). A pure execution knob: the delta-aware
-    /// incremental engine is bit-identical to cold dense rebuilds, so
-    /// results must not move — the regression gate cross-diffs
-    /// full-rebuild vs incremental sweeps to prove exactly that.
-    pub full_rebuild: bool,
 }
 
 /// The routing a scenario's solver row produced: a full SPEF pipeline, or
@@ -754,18 +741,13 @@ struct SolvedPipeline {
 }
 
 /// The fixed Fortz–Thorup search budget of [`SolverSpec::FortzThorup`]
-/// sweep rows (part of the rows' identity — see the variant docs). Only
-/// `full_rebuild` comes from execution options, and it cannot move a
-/// result.
-fn sweep_ft_config(full_rebuild: bool) -> FtConfig {
-    FtConfig {
-        max_weight: 20,
-        max_evaluations: 1000,
-        restarts: 1,
-        seed: 0xF7,
-        full_rebuild,
-    }
-}
+/// sweep rows (part of the rows' identity — see the variant docs).
+const SWEEP_FT_CONFIG: FtConfig = FtConfig {
+    max_weight: 20,
+    max_evaluations: 1000,
+    restarts: 1,
+    seed: 0xF7,
+};
 
 /// Materializes and solves a scenario's pipeline (everything up to, not
 /// including, the sim stage) on the given workspace.
@@ -776,14 +758,13 @@ fn sweep_ft_config(full_rebuild: bool) -> FtConfig {
 fn solve_pipeline(
     scenario: &Scenario,
     ws: &mut TeWorkspace,
-    options: &BatchOptions,
     spf: &mut SpfStats,
 ) -> Result<SolvedPipeline, String> {
     let network = scenario.topology.build();
     let traffic = scenario.traffic.build(&network);
     let routing = if scenario.solver == SolverSpec::FortzThorup {
-        let cfg = sweep_ft_config(options.full_rebuild);
-        let ft = FtOutcome::local_search(&network, &traffic, &cfg).map_err(|e| e.to_string())?;
+        let ft = FtOutcome::local_search(&network, &traffic, &SWEEP_FT_CONFIG)
+            .map_err(|e| e.to_string())?;
         spf.accumulate(ft.spf_stats);
         // An overloaded best routing has no finite utility, which the
         // report's JSON round trip cannot carry — report it as a
@@ -853,8 +834,8 @@ fn sim_stage(
 /// Per-chain memo of robust weight-search worst cases. The search depends
 /// on the intact instance and the search parameters — not on which circuit
 /// a scenario fails — so every circuit of a chain shares one search.
-/// Memoization is a pure speedup: the search is deterministic, so the
-/// cold-solves path recomputing it per scenario gets bit-identical values.
+/// Memoization is a pure speedup: the search is deterministic, so a chain
+/// of one ([`run_scenario`]) recomputing it gets bit-identical values.
 type RobustMemo = Vec<(String, f64)>;
 
 /// Persistent failure-stage MLU probes, one per weight setting (OSPF /
@@ -869,10 +850,10 @@ struct FailureProbes {
 }
 
 impl FailureProbes {
-    fn new(full_rebuild: bool) -> FailureProbes {
+    fn new() -> FailureProbes {
         FailureProbes {
-            ospf: reconfig::MluProbe::new(full_rebuild),
-            stale: reconfig::MluProbe::new(full_rebuild),
+            ospf: reconfig::MluProbe::new(false),
+            stale: reconfig::MluProbe::new(false),
         }
     }
 
@@ -891,16 +872,15 @@ impl FailureProbes {
 ///
 /// The re-optimisation clears the workspace's saved trajectories first
 /// ([`TeWorkspace::clear_solutions`]) so it runs the cold iteration
-/// sequence: chain mode and [`BatchOptions::cold_solves`] stay
-/// bit-identical (the removal warm start's iteration savings are proven by
-/// the solver tests and the bench lane, never inside the gated sweep).
+/// sequence: long chains and chains of one stay bit-identical (the
+/// removal warm start's iteration savings are proven by the solver tests
+/// and the bench lane, never inside the gated sweep).
 fn failure_stage(
     scenario: &Scenario,
     solved: &SolvedPipeline,
     ws: &mut TeWorkspace,
     robust_memo: &mut RobustMemo,
     probes: &mut FailureProbes,
-    options: &BatchOptions,
     spf: &mut SpfStats,
 ) -> Result<Option<FailureScenarioResult>, String> {
     let Some(spec) = &scenario.failure else {
@@ -991,7 +971,6 @@ fn failure_stage(
             let cfg = RobustConfig {
                 max_evaluations: spec.robust_evals as usize,
                 seed: spec.robust_seed,
-                full_rebuild: options.full_rebuild,
                 ..RobustConfig::default()
             };
             let out = RobustOutcome::local_search(&solved.network, &solved.traffic, &cfg)
@@ -1009,7 +988,6 @@ fn failure_stage(
         &solved.traffic,
         &w_stale,
         &reopt.te_solution().weights,
-        options.full_rebuild,
     )
     .map_err(|e| format!("failure stage: reconfiguration transient: {e}"))?;
     spf.accumulate(transit_spf);
@@ -1073,67 +1051,6 @@ fn measure(
     }
 }
 
-/// Runs one scenario end to end with the default (calendar) sim scheduler:
-/// materialize → solve → (optionally) simulate → measure.
-///
-/// # Errors
-///
-/// Returns the stringified solver error (e.g. infeasible demands at the
-/// requested load) or simulator error.
-pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, String> {
-    run_scenario_in(scenario, SchedulerKind::Calendar, &mut SimWorkspace::new())
-}
-
-/// [`run_scenario`] with an explicit sim scheduler and a caller-provided
-/// simulator workspace (reused allocation-free across scenarios on the
-/// serial path). The solve itself runs cold in a fresh [`TeWorkspace`].
-///
-/// # Errors
-///
-/// Same contract as [`run_scenario`].
-pub fn run_scenario_in(
-    scenario: &Scenario,
-    sim_scheduler: SchedulerKind,
-    sim_ws: &mut SimWorkspace,
-) -> Result<ScenarioResult, String> {
-    let options = BatchOptions {
-        sim_scheduler,
-        ..BatchOptions::default()
-    };
-    run_scenario_opts(scenario, &options, sim_ws, &mut SpfStats::default())
-}
-
-/// The cold-solve kernel shared by [`run_scenario_in`] and the
-/// [`BatchOptions::cold_solves`] lanes of [`run_batch`]: a fresh
-/// [`TeWorkspace`] per scenario, configured with the batch's tile knob.
-fn run_scenario_opts(
-    scenario: &Scenario,
-    options: &BatchOptions,
-    sim_ws: &mut SimWorkspace,
-    spf: &mut SpfStats,
-) -> Result<ScenarioResult, String> {
-    let started = Instant::now();
-    let mut ws = TeWorkspace::new();
-    ws.set_tile_size(options.tile);
-    ws.set_incremental(!options.full_rebuild);
-    let mut probes = FailureProbes::new(options.full_rebuild);
-    let solved = solve_pipeline(scenario, &mut ws, options, spf)?;
-    let failure = failure_stage(
-        scenario,
-        &solved,
-        &mut ws,
-        &mut RobustMemo::new(),
-        &mut probes,
-        options,
-        spf,
-    )?;
-    let sim = sim_stage(scenario, &solved, options.sim_scheduler, sim_ws)?;
-    let scale = scale_stage(scenario, &solved, &ws);
-    spf.accumulate(ws.spf_stats());
-    spf.accumulate(probes.spf_stats());
-    Ok(measure(scenario, &solved, sim, failure, scale, started))
-}
-
 /// A scenario's outcome tagged with its original batch index so the caller
 /// can restore submission order after the parallel chain fan-out.
 type IndexedOutcome = (usize, Scenario, Result<ScenarioResult, String>);
@@ -1148,11 +1065,10 @@ fn run_chain(
 ) -> (Vec<IndexedOutcome>, SpfStats) {
     let mut ws = TeWorkspace::new();
     ws.set_tile_size(options.tile);
-    ws.set_incremental(!options.full_rebuild);
     let mut sim_ws = SimWorkspace::new();
     // One probe pair per chain: every failure-stage circuit of the chain
     // rides mask round-trips on the same retained engine state.
-    let mut probes = FailureProbes::new(options.full_rebuild);
+    let mut probes = FailureProbes::new();
     let mut spf = SpfStats::default();
     // Chains are short (one entry per load × sim/failure point), so
     // linear-scan memos keyed by solve key beat hashing.
@@ -1163,7 +1079,7 @@ fn run_chain(
         let started = Instant::now();
         let key = scenario.solve_key();
         if !memo.iter().any(|(k, _)| *k == key) {
-            let solved = solve_pipeline(&scenario, &mut ws, options, &mut spf);
+            let solved = solve_pipeline(&scenario, &mut ws, &mut spf);
             memo.push((key.clone(), solved));
         }
         let pos = memo
@@ -1178,7 +1094,6 @@ fn run_chain(
                 &mut ws,
                 &mut robust_memo,
                 &mut probes,
-                options,
                 &mut spf,
             )
             .and_then(|failure| {
@@ -1195,14 +1110,25 @@ fn run_chain(
     (out, spf)
 }
 
+/// Runs one scenario end to end, isolated — a chain of one on fresh
+/// workspaces, default options: materialize → solve → (optionally)
+/// simulate → measure.
+///
+/// # Errors
+///
+/// Returns the stringified solver error (e.g. infeasible demands at the
+/// requested load) or simulator error.
+pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, String> {
+    let (mut out, _) = run_chain(vec![(0, scenario.clone())], &BatchOptions::default());
+    out.pop().expect("a chain of one yields one outcome").2
+}
+
 /// Runs a batch of scenarios, in parallel unless
 /// [`BatchOptions::serial`] is set.
 ///
-/// By default scenarios are grouped into warm-start chains (see the module
-/// docs): rayon fans out across chains, each chain runs serially on shared
+/// Scenarios are grouped into warm-start chains (see the module docs):
+/// rayon fans out across chains, each chain runs serially on shared
 /// workspaces, and scenarios identical up to the sim stage share one solve.
-/// [`BatchOptions::cold_solves`] reverts to one isolated solve per
-/// scenario.
 ///
 /// Results and failures come back in scenario order regardless of the
 /// parallel schedule or chain grouping, and every field except the
@@ -1217,69 +1143,35 @@ pub fn run_batch(scenarios: Vec<Scenario>, options: &BatchOptions) -> BatchRepor
         rayon::current_num_threads() as u64
     };
     let mut spf_total = SpfStats::default();
-    let mut outcomes: Vec<IndexedOutcome> = if options.cold_solves {
-        if options.serial {
-            // Serial lane: one simulator workspace amortised over the whole
-            // batch (allocation-free sim stages after the first).
-            let mut sim_ws = SimWorkspace::new();
-            scenarios
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let outcome = run_scenario_opts(&s, options, &mut sim_ws, &mut spf_total);
-                    (i, s, outcome)
-                })
-                .collect()
-        } else {
-            let with_stats: Vec<(IndexedOutcome, SpfStats)> = scenarios
-                .into_par_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let mut spf = SpfStats::default();
-                    let outcome =
-                        run_scenario_opts(&s, options, &mut SimWorkspace::new(), &mut spf);
-                    ((i, s, outcome), spf)
-                })
-                .collect();
-            with_stats
-                .into_iter()
-                .map(|(outcome, spf)| {
-                    spf_total.accumulate(spf);
-                    outcome
-                })
-                .collect()
-        }
-    } else {
-        // Dependency-aware mode: group into chains keyed by everything but
-        // the load and sim axes, preserving first-appearance chain order
-        // and submission order within each chain.
-        let mut chains: Vec<Vec<(usize, Scenario)>> = Vec::new();
-        let mut chain_index: HashMap<String, usize> = HashMap::new();
-        for (i, s) in scenarios.into_iter().enumerate() {
-            match chain_index.get(&s.chain_key()) {
-                Some(&c) => chains[c].push((i, s)),
-                None => {
-                    chain_index.insert(s.chain_key(), chains.len());
-                    chains.push(vec![(i, s)]);
-                }
+    // Group into chains keyed by everything but the load and sim axes,
+    // preserving first-appearance chain order and submission order
+    // within each chain.
+    let mut chains: Vec<Vec<(usize, Scenario)>> = Vec::new();
+    let mut chain_index: HashMap<String, usize> = HashMap::new();
+    for (i, s) in scenarios.into_iter().enumerate() {
+        match chain_index.get(&s.chain_key()) {
+            Some(&c) => chains[c].push((i, s)),
+            None => {
+                chain_index.insert(s.chain_key(), chains.len());
+                chains.push(vec![(i, s)]);
             }
         }
-        let per_chain: Vec<(Vec<IndexedOutcome>, SpfStats)> = if options.serial {
-            chains.into_iter().map(|c| run_chain(c, options)).collect()
-        } else {
-            chains
-                .into_par_iter()
-                .map(|c| run_chain(c, options))
-                .collect()
-        };
-        per_chain
-            .into_iter()
-            .flat_map(|(outcomes, spf)| {
-                spf_total.accumulate(spf);
-                outcomes
-            })
+    }
+    let per_chain: Vec<(Vec<IndexedOutcome>, SpfStats)> = if options.serial {
+        chains.into_iter().map(|c| run_chain(c, options)).collect()
+    } else {
+        chains
+            .into_par_iter()
+            .map(|c| run_chain(c, options))
             .collect()
     };
+    let mut outcomes: Vec<IndexedOutcome> = per_chain
+        .into_iter()
+        .flat_map(|(outcomes, spf)| {
+            spf_total.accumulate(spf);
+            outcomes
+        })
+        .collect();
     outcomes.sort_by_key(|(i, _, _)| *i);
 
     let mut results = Vec::new();
@@ -1375,6 +1267,22 @@ mod tests {
         assert!(!base.result_drift(&other).is_empty());
     }
 
+    /// The isolated reference: each scenario through [`run_scenario`] (a
+    /// chain of one), folded into a report `result_drift` can compare.
+    fn isolated(scenarios: &[Scenario]) -> BatchReport {
+        let mut report = run_batch(Vec::new(), &BatchOptions::default());
+        for s in scenarios {
+            match run_scenario(s) {
+                Ok(r) => report.results.push(r),
+                Err(error) => report.failures.push(ScenarioFailure {
+                    scenario: s.clone(),
+                    error,
+                }),
+            }
+        }
+        report
+    }
+
     #[test]
     fn warm_chains_match_cold_solves_bit_for_bit() {
         // Two chains (fig4, abilene), each spanning two loads × two sim
@@ -1387,13 +1295,7 @@ mod tests {
             .sim_durations([1.0, 2.0])
             .build();
         assert_eq!(scenarios.len(), 8);
-        let cold = run_batch(
-            scenarios.clone(),
-            &BatchOptions {
-                cold_solves: true,
-                ..BatchOptions::default()
-            },
-        );
+        let cold = isolated(&scenarios);
         let warm = run_batch(scenarios, &BatchOptions::default());
         assert_eq!(warm.results.len(), 8);
         let drift = cold.result_drift(&warm);
@@ -1401,29 +1303,22 @@ mod tests {
     }
 
     #[test]
-    fn ft_rows_solve_and_full_rebuild_matches_incremental_bit_for_bit() {
+    fn ft_rows_solve_and_match_isolated_runs_bit_for_bit() {
         let scenarios = ScenarioGrid::new()
             .topologies([TopologySpec::Fig4])
             .seeds([1])
-            .loads([0.15])
+            .loads([0.1, 0.15])
             .solvers([SolverSpec::FrankWolfeFast, SolverSpec::FortzThorup])
             .build();
-        let incremental = run_batch(scenarios.clone(), &BatchOptions::default());
-        let full = run_batch(
-            scenarios,
-            &BatchOptions {
-                full_rebuild: true,
-                ..BatchOptions::default()
-            },
-        );
-        assert_eq!(incremental.results.len(), 2);
-        let ft = &incremental.results[1];
+        let chained = run_batch(scenarios.clone(), &BatchOptions::default());
+        assert_eq!(chained.results.len(), 4);
+        let ft = &chained.results[1];
         assert!(ft.scenario.id.ends_with("+ft"));
         assert!(ft.mlu > 0.0 && ft.mlu < 1.0);
         assert!(ft.utility.is_finite());
         assert!(ft.nem_converged, "vacuous for FT rows");
-        let drift = incremental.result_drift(&full);
-        assert!(drift.is_empty(), "full-rebuild drift: {drift:?}");
+        let drift = isolated(&scenarios).result_drift(&chained);
+        assert!(drift.is_empty(), "chain vs isolated drift: {drift:?}");
     }
 
     #[test]

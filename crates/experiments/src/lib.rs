@@ -38,8 +38,8 @@ pub mod table3;
 pub mod table5;
 
 pub use harness::{
-    run_batch, run_scenario, run_scenario_in, BatchOptions, BatchReport, FailureScenarioResult,
-    ScenarioFailure, ScenarioResult, SimScenarioResult,
+    run_batch, run_scenario, BatchOptions, BatchReport, FailureScenarioResult, ScenarioFailure,
+    ScenarioResult, SimScenarioResult,
 };
 pub use reconfig::ReconfigOutcome;
 pub use report::{CsvFile, ExperimentResult, TextTable};

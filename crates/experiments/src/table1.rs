@@ -55,7 +55,6 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
         },
         restarts: 2,
         seed: 11,
-        ..FtConfig::default()
     };
     let ft = FtOutcome::local_search(&net, &tm, &ft_cfg)
         .map_err(|e| SpefError::InvalidInput(format!("FT search failed: {e}")))?;

@@ -3,7 +3,9 @@
 //! `sim` scenario family (scheduler-independent results, old-baseline
 //! compatibility).
 
-use spef_experiments::harness::{run_batch, BatchOptions, BatchReport};
+use spef_experiments::harness::{
+    run_batch, run_scenario, BatchOptions, BatchReport, ScenarioFailure,
+};
 use spef_experiments::scenario::{
     FailureSpec, ObjectiveSpec, Scenario, ScenarioGrid, SimSpec, SolverSpec, TopologySpec,
     TrafficModel, TrafficSpec,
@@ -194,10 +196,26 @@ fn failure_scenarios() -> Vec<Scenario> {
         .build()
 }
 
+/// The isolated reference: each scenario through `run_scenario` (a chain
+/// of one), folded into a report `result_drift` can compare.
+fn isolated(scenarios: &[Scenario]) -> BatchReport {
+    let mut report = run_batch(Vec::new(), &BatchOptions::default());
+    for s in scenarios {
+        match run_scenario(s) {
+            Ok(r) => report.results.push(r),
+            Err(error) => report.failures.push(ScenarioFailure {
+                scenario: s.clone(),
+                error,
+            }),
+        }
+    }
+    report
+}
+
 #[test]
 fn failure_sweep_is_deterministic_and_mode_independent() {
     // Warm chains (shared intact solve + chain-memoized robust search),
-    // serial warm, and isolated cold solves must produce bit-identical
+    // serial warm, and isolated runs must produce bit-identical
     // deterministic fields — the failure family's regression contract.
     let warm = run_batch(failure_scenarios(), &BatchOptions::default());
     assert_eq!(warm.results.len(), 2, "{:?}", warm.failures);
@@ -216,13 +234,7 @@ fn failure_sweep_is_deterministic_and_mode_independent() {
         assert!(f.reconfig_peak_mlu >= f.mlu_stale - 1e-12);
         assert!(f.reconfig_greedy_peak_mlu >= f.mlu_stale - 1e-12);
     }
-    let cold = run_batch(
-        failure_scenarios(),
-        &BatchOptions {
-            cold_solves: true,
-            ..BatchOptions::default()
-        },
-    );
+    let cold = isolated(&failure_scenarios());
     let serial = run_batch(
         failure_scenarios(),
         &BatchOptions {
@@ -265,9 +277,8 @@ fn failure_results_roundtrip_and_drift_catches_failure_fields() {
 fn spf_metadata_is_surfaced_but_never_diffed() {
     // The batch-level SPF counters are execution metadata: present on any
     // run that routed traffic, round-tripping through JSON, but outside
-    // the bit-diffed result fields — an engine-mode flip (masked topology
-    // deltas vs full rebuilds) moves the counters while `result_drift`
-    // stays empty.
+    // the bit-diffed result fields — changing or dropping the counters
+    // leaves `result_drift` empty.
     let masked = run_batch(failure_scenarios(), &BatchOptions::default());
     let spf = masked.spf.expect("failure sweep carries spf metadata");
     assert!(spf.builds > 0);
@@ -283,22 +294,14 @@ fn spf_metadata_is_surfaced_but_never_diffed() {
     let back = BatchReport::from_json(&masked.to_json()).expect("parses back");
     assert_eq!(back, masked);
 
-    let rebuild = run_batch(
-        failure_scenarios(),
-        &BatchOptions {
-            full_rebuild: true,
-            ..BatchOptions::default()
-        },
-    );
-    let rebuild_spf = rebuild.spf.expect("rebuild sweep carries spf metadata");
-    assert_eq!(rebuild_spf.topology_builds, 0);
-    assert!(rebuild.spf_repair.is_none(), "full rebuilds never repair");
-    assert!(!rebuild.to_json().contains("spf_repair"));
-    assert_ne!(spf, rebuild_spf, "engine modes should differ in SPF work");
+    let mut other = masked.clone();
+    other.spf.as_mut().unwrap().topology_builds += 1;
+    other.spf_repair = None;
+    assert!(!other.to_json().contains("spf_repair"));
     assert!(
-        masked.result_drift(&rebuild).is_empty(),
+        masked.result_drift(&other).is_empty(),
         "spf metadata leaked into the diffed fields: {:?}",
-        masked.result_drift(&rebuild)
+        masked.result_drift(&other)
     );
 
     // The committed pre-PR 10 baselines predate the field; they must keep

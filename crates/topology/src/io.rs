@@ -68,15 +68,14 @@ pub fn to_text(network: &Network, traffic: Option<&TrafficMatrix>) -> String {
 /// Returns [`TopologyError::UnknownNode`] for references to undeclared
 /// nodes and [`TopologyError::InvalidCapacity`] /
 /// [`TopologyError::NotStronglyConnected`] from network validation.
-/// Malformed lines are reported as [`TopologyError::UnknownNode`] with the
-/// offending text.
+/// Lines that do not parse, self-loop links, self-demands and demands
+/// that are negative, NaN or infinite are reported as
+/// [`TopologyError::MalformedLine`] naming the line.
 pub fn from_text(input: &str) -> Result<(Network, TrafficMatrix), TopologyError> {
     let mut name = "unnamed".to_string();
     let mut nodes: Vec<(String, f64, f64)> = Vec::new();
     let mut links: Vec<(String, String, f64)> = Vec::new();
     let mut demands: Vec<(String, String, f64)> = Vec::new();
-
-    let malformed = |line: &str| TopologyError::UnknownNode(format!("malformed line: {line}"));
 
     for raw in input.lines() {
         let line = raw.trim();
@@ -89,24 +88,27 @@ pub fn from_text(input: &str) -> Result<(Network, TrafficMatrix), TopologyError>
                 name = parts.collect::<Vec<_>>().join(" ");
             }
             Some("node") => {
-                let n = parts.next().ok_or_else(|| malformed(line))?;
+                let n = parts
+                    .next()
+                    .ok_or_else(|| malformed(line, "missing name"))?;
                 let x: f64 = parse_num(parts.next(), line)?;
                 let y: f64 = parse_num(parts.next(), line)?;
                 nodes.push((n.to_string(), x, y));
             }
             Some("link") => {
-                let u = parts.next().ok_or_else(|| malformed(line))?;
-                let v = parts.next().ok_or_else(|| malformed(line))?;
+                let (u, v) = endpoints(&mut parts, line)?;
                 let c: f64 = parse_num(parts.next(), line)?;
                 links.push((u.to_string(), v.to_string(), c));
             }
             Some("demand") => {
-                let s = parts.next().ok_or_else(|| malformed(line))?;
-                let t = parts.next().ok_or_else(|| malformed(line))?;
+                let (s, t) = endpoints(&mut parts, line)?;
                 let d: f64 = parse_num(parts.next(), line)?;
+                if !(d.is_finite() && d >= 0.0) {
+                    return Err(malformed(line, "demand must be finite and non-negative"));
+                }
                 demands.push((s.to_string(), t.to_string(), d));
             }
-            _ => return Err(malformed(line)),
+            _ => return Err(malformed(line, "unknown keyword")),
         }
     }
 
@@ -133,10 +135,31 @@ pub fn from_text(input: &str) -> Result<(Network, TrafficMatrix), TopologyError>
     Ok((network, tm))
 }
 
+fn malformed(line: &str, reason: &str) -> TopologyError {
+    TopologyError::MalformedLine(format!("{line:?}: {reason}"))
+}
+
 fn parse_num(token: Option<&str>, line: &str) -> Result<f64, TopologyError> {
     token
         .and_then(|t| t.parse().ok())
-        .ok_or_else(|| TopologyError::UnknownNode(format!("malformed line: {line}")))
+        .ok_or_else(|| malformed(line, "missing or invalid number"))
+}
+
+/// The two distinct node names of a `link` or `demand` line.
+fn endpoints<'a>(
+    parts: &mut impl Iterator<Item = &'a str>,
+    line: &str,
+) -> Result<(&'a str, &'a str), TopologyError> {
+    let u = parts
+        .next()
+        .ok_or_else(|| malformed(line, "missing node"))?;
+    let v = parts
+        .next()
+        .ok_or_else(|| malformed(line, "missing node"))?;
+    if u == v {
+        return Err(malformed(line, "both ends are the same node"));
+    }
+    Ok((u, v))
 }
 
 #[cfg(test)]
@@ -201,6 +224,22 @@ demand a c 0.4
         assert!(from_text("link a b 1").is_err());
         assert!(from_text("node a 0 0\nfrobnicate").is_err());
         assert!(from_text("node a 0 0\nnode b 1 1\nlink a b squid").is_err());
+        // Lines the builders would panic on are errors naming the line.
+        let net = "node a 0 0\nnode b 1 1\nlink a b 1\nlink b a 1\n";
+        for bad in [
+            "link a a 1",
+            "demand a a 1",
+            "demand a b -1",
+            "demand a b NaN",
+            "demand a b inf",
+        ] {
+            match from_text(&format!("{net}{bad}")) {
+                Err(TopologyError::MalformedLine(what)) => {
+                    assert!(what.contains(bad), "{bad}: {what}")
+                }
+                other => panic!("{bad}: expected a malformed-line error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,10 @@ pub enum TopologyError {
     NotStronglyConnected,
     /// A node name was referenced that does not exist.
     UnknownNode(String),
+    /// A line of the text format ([`crate::io::from_text`]) that does not
+    /// parse or describes an invalid link or demand; carries the line
+    /// and the reason.
+    MalformedLine(String),
 }
 
 impl fmt::Display for TopologyError {
@@ -31,6 +35,7 @@ impl fmt::Display for TopologyError {
                 write!(f, "network is not strongly connected")
             }
             TopologyError::UnknownNode(name) => write!(f, "unknown node name {name:?}"),
+            TopologyError::MalformedLine(what) => write!(f, "malformed line: {what}"),
         }
     }
 }

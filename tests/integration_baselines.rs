@@ -90,7 +90,6 @@ fn ft_search_improves_and_relieves_congestion() {
             max_evaluations: 1500,
             restarts: 1,
             seed: 5,
-            ..FtConfig::default()
         },
     )
     .unwrap();
