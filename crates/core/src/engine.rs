@@ -76,8 +76,8 @@
 //! ```
 
 use spef_graph::batch::{
-    build_dag_set, build_dag_set_tiled, repair_dag_set, validate_dag_inputs, DagSet, EdgeChange,
-    Parallelism, RepairStats, RoutingWorkspace,
+    build_dag_set, repair_dag_set, validate_dag_inputs, DagSet, EdgeChange, Parallelism,
+    RepairStats, RoutingWorkspace,
 };
 use spef_graph::{Csr, EdgeId, Graph, GraphError, NodeId};
 use spef_topology::TrafficMatrix;
@@ -178,12 +178,6 @@ pub struct EngineState {
     dags: DagSet,
     tables: SplitTableSet,
     scratch: DistScratch,
-    /// Tile-sized arenas for the tiled execution path. Kept separate from
-    /// `dags`/`tables` so tiled runs never clobber the untiled DAG set
-    /// behind the bit-identical-weights skip fingerprint.
-    tile_dags: DagSet,
-    tile_tables: SplitTableSet,
-    tile_cols: Vec<Vec<f64>>,
     last_weights: Vec<f64>,
     last_dests: Vec<NodeId>,
     last_tolerance: f64,
@@ -193,8 +187,9 @@ pub struct EngineState {
     changes: Vec<EdgeChange>,
     /// Per-slot "DAG changed" flags of the repair in progress.
     slot_changed: Vec<bool>,
-    /// Slots whose DAG changed since the last successful untiled
-    /// distribution (what the incremental distribution must refresh).
+    /// Slots whose DAG changed since the last successful
+    /// [`RoutingEngine::distribute_into`] (what the incremental
+    /// distribution must refresh).
     pending: Vec<bool>,
     /// `true` when the pending set is meaningless (dense build, shape
     /// change, or no distribution yet): the next distribution runs dense.
@@ -210,8 +205,9 @@ pub struct EngineState {
     /// backing the demand-change check of the incremental distribution.
     demand_cache: Vec<f64>,
     demand_cache_valid: bool,
-    /// Stamp of the `Flows` buffer the last successful untiled
-    /// distribution wrote (its columns *are* the incremental flow cache).
+    /// Stamp of the `Flows` buffer the last successful
+    /// [`RoutingEngine::distribute_into`] wrote (its columns *are* the
+    /// incremental flow cache).
     out_stamp: u64,
     incremental_builds: u64,
     slots_rebuilt: u64,
@@ -308,21 +304,11 @@ impl EngineState {
         self.last_rule_kind = RuleKind::None;
     }
 
-    /// Bytes currently reserved by the engine's routing arenas (DAG sets,
-    /// split tables, tile scratch, Dijkstra workspace), by capacity — a
-    /// high-water mark, since the arenas only ever grow across reuse.
+    /// Bytes currently reserved by the engine's routing arenas (DAG set,
+    /// split tables, Dijkstra workspace), by capacity — a high-water mark,
+    /// since the arenas only ever grow across reuse.
     pub fn arena_bytes(&self) -> usize {
-        self.ws.arena_bytes()
-            + self.dags.arena_bytes()
-            + self.tables.arena_bytes()
-            + self.tile_dags.arena_bytes()
-            + self.tile_tables.arena_bytes()
-            + self.tile_cols.capacity() * std::mem::size_of::<Vec<f64>>()
-            + self
-                .tile_cols
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<f64>())
-                .sum::<usize>()
+        self.ws.arena_bytes() + self.dags.arena_bytes() + self.tables.arena_bytes()
     }
 }
 
@@ -733,9 +719,11 @@ impl<'g> RoutingEngine<'g> {
             s.dags.iter(),
             traffic,
             rule,
+            usize::MAX,
             &mut s.tables,
             &mut s.scratch,
             out,
+            |_, _, _| Ok(()),
         )?;
         self.record_distribution(traffic, rule, out);
         Ok(())
@@ -886,7 +874,7 @@ impl<'g> RoutingEngine<'g> {
     /// [`SpefError::InvalidInput`] if the rule's weight vector is
     /// malformed.
     pub fn build_split_tables(&mut self, rule: SplitRule<'_>) -> Result<&SplitTableSet, SpefError> {
-        crate::traffic_dist::validate_rule(self.graph, rule)?;
+        validate_rule(self.graph, rule)?;
         let s = &mut self.state;
         // The tables no longer correspond to a recorded distribution.
         s.tables_valid = false;
@@ -898,23 +886,27 @@ impl<'g> RoutingEngine<'g> {
         Ok(&s.tables)
     }
 
-    /// The fused tiled build-and-distribute cycle: processes `dests` in
-    /// tiles of at most `tile` destinations, building each tile's DAGs
-    /// and split tables into tile-sized arenas (peak O(tile·edges)
-    /// instead of O(dests·edges)) and accumulating the **global**
-    /// aggregate flows destination by destination in ascending order —
-    /// bit-identical to [`build_dags`](Self::build_dags) +
-    /// [`distribute_into`](Self::distribute_into) for every tile size.
+    /// The routing pass of every solver: builds the DAGs of `dests` and
+    /// distributes `traffic` over them under `rule`, in chunks of at most
+    /// `tile` destinations, into `out`.
     ///
-    /// With `keep_per_dest` the per-destination flow columns of `out` are
-    /// retained (Frank–Wolfe needs the dense columns for its blend
-    /// updates; only the DAG/table arenas shrink); without it `out` holds
-    /// the aggregate only and [`Flows::for_destination`] returns `None`.
+    /// A chunk covering every destination is exactly
+    /// [`build_dags`](Self::build_dags) +
+    /// [`distribute_into`](Self::distribute_into), so the skip fingerprint,
+    /// the local SPF repair and the incremental distribution all serve it,
+    /// and `out` keeps its per-destination columns. Smaller chunks build
+    /// into the same arenas one after another (peak O(tile·edges) instead
+    /// of O(dests·edges)), leave the fingerprint describing the last
+    /// chunk, and fold into the **global** aggregate destination by
+    /// destination in ascending order — bit-identical for every tile size.
+    /// There, `keep_per_dest` keeps the per-destination columns of `out`
+    /// (Frank–Wolfe needs them for its blend updates); without it `out`
+    /// holds the aggregate only and [`Flows::for_destination`] returns
+    /// `None`.
     ///
-    /// `on_tile(offset, tile dests, tile dags, tile tables)` fires after
-    /// each tile while its arenas are live — callers fold per-destination
-    /// quantities (dual terms, FIB rows) there. The tiled path never
-    /// touches the untiled DAG set or its skip fingerprint.
+    /// `on_tile(offset, chunk dests, chunk dags, chunk tables)` fires
+    /// after each chunk while its arenas are live — callers fold
+    /// per-destination quantities (dual terms) there.
     ///
     /// # Errors
     ///
@@ -943,101 +935,41 @@ impl<'g> RoutingEngine<'g> {
         F: FnMut(usize, &[NodeId], &DagSet, &SplitTableSet) -> Result<(), SpefError>,
     {
         assert!(tile > 0, "tile size must be at least 1");
-        crate::traffic_dist::validate_rule(self.graph, rule)?;
+        validate_rule(self.graph, rule)?;
+        if tile >= dests.len() {
+            self.build_dags(weights, dests, tolerance)?;
+            self.distribute_into(traffic, rule, out)?;
+            return on_tile(0, dests, &self.state.dags, &self.state.tables);
+        }
         let m = self.graph.edge_count();
-        let n = self.graph.node_count();
-        let s = &mut self.state;
         if keep_per_dest {
             out.reset(dests, m);
         } else {
             out.reset_aggregate(dests, m);
         }
-        let (columns, aggregate) = out.parts_mut();
-
+        // The chunks overwrite the split tables; no distribution cache
+        // describes them any more.
+        self.state.drop_distribution_caches();
         let mut offset = 0;
         for chunk in dests.chunks(tile) {
-            build_dag_set(
-                self.graph,
-                s.in_csr.as_ref().expect("attached engine has a CSR"),
-                weights,
-                chunk,
-                tolerance,
-                self.par,
-                &mut s.ws,
-                &mut s.tile_dags,
-            )?;
-            s.tile_tables.reset(n);
-            let cols: &mut [Vec<f64>] = if keep_per_dest {
-                &mut columns[offset..offset + chunk.len()]
-            } else {
-                if s.tile_cols.len() < chunk.len() {
-                    s.tile_cols.resize_with(chunk.len(), Vec::new);
-                }
-                for col in &mut s.tile_cols[..chunk.len()] {
-                    col.clear();
-                    col.resize(m, 0.0);
-                }
-                &mut s.tile_cols[..chunk.len()]
-            };
+            self.build_dags(weights, chunk, tolerance)?;
+            let s = &mut self.state;
+            s.tables.reset(self.graph.node_count());
+            let (columns, aggregate) = out.parts_mut();
             distribute_block(
                 self.graph,
                 chunk,
-                s.tile_dags.iter(),
+                s.dags.iter(),
                 traffic,
                 rule,
-                &mut s.tile_tables,
+                &mut s.tables,
                 &mut s.scratch,
-                cols,
+                keep_per_dest.then(|| &mut columns[offset..offset + chunk.len()]),
                 aggregate,
             )?;
-            on_tile(offset, chunk, &s.tile_dags, &s.tile_tables)?;
+            on_tile(offset, chunk, &s.dags, &s.tables)?;
             offset += chunk.len();
         }
-        s.spf_builds += 1;
-        Ok(())
-    }
-
-    /// Builds the DAGs of `dests` tile by tile under `weights`, invoking
-    /// `f(offset, tile dests, tile dags)` per tile — the build-only
-    /// companion of [`distribute_tiled`](Self::distribute_tiled) for
-    /// pipelines that materialise or stream per-destination routing state
-    /// (e.g. FIB rows) without a traffic pass. Peak DAG-arena memory is
-    /// O(tile·edges); the untiled DAG set and its fingerprint are
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build_dags`](Self::build_dags), plus whatever
-    /// `f` returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is zero.
-    pub fn for_each_dag_tile<F>(
-        &mut self,
-        weights: &[f64],
-        dests: &[NodeId],
-        tolerance: f64,
-        tile: usize,
-        f: F,
-    ) -> Result<(), SpefError>
-    where
-        F: FnMut(usize, &[NodeId], &DagSet) -> Result<(), SpefError>,
-    {
-        let s = &mut self.state;
-        build_dag_set_tiled(
-            self.graph,
-            s.in_csr.as_ref().expect("attached engine has a CSR"),
-            weights,
-            dests,
-            tolerance,
-            self.par,
-            tile,
-            &mut s.ws,
-            &mut s.tile_dags,
-            f,
-        )?;
-        s.spf_builds += 1;
         Ok(())
     }
 

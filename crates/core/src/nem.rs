@@ -22,7 +22,7 @@ use spef_topology::TrafficMatrix;
 
 use crate::dual_decomp::StepRule;
 use crate::solver::{ConvergenceCriteria, TeWorkspace};
-use crate::traffic_dist::{distribute_batch, distribute_batch_tiled, Flows, SplitRule};
+use crate::traffic_dist::{distribute_batch, Flows, SplitRule};
 use crate::SpefError;
 
 /// Configuration of Algorithm 2.
@@ -121,10 +121,9 @@ pub(crate) fn solve_in(
     let default_scale = 1.0 / max_target;
 
     let dests = traffic.destinations();
-    // Effective tile: a tile covering every destination runs dense.
-    let tile = ws.tile.filter(|&t| t < dests.len());
+    let tile = ws.chunk_len(dests.len());
     let nem = &mut ws.nem;
-    let warm = !pinned && nem.try_warm_start(graph, &dests, tile);
+    let warm = !pinned && nem.try_warm_start(graph, &dests);
     // Until the run completes, nothing claims the buffers solve anything
     // (early `?` returns must not leave a stale fingerprint behind).
     nem.forget();
@@ -136,66 +135,40 @@ pub(crate) fn solve_in(
     let mut trace = Vec::new();
     let mut converged = false;
     let mut iterations = 0;
+    let record = config.record_trace;
 
     for k in 0..config.convergence.max_iterations {
         iterations = k + 1;
         // d(v) = Σ_r d_r log Σ_k e^{-v^r_k} + Σ_e v_e f*_e; the demand
-        // terms accumulate in ascending destination order on both paths
-        // (the tiled closure folds them per tile while that tile's split
-        // tables are live), so the trace is bit-identical either way.
+        // terms accumulate in ascending destination order, chunk by chunk
+        // while each chunk's split tables are live.
         let mut dual = 0.0;
-        if let Some(tile) = tile {
-            let record = config.record_trace;
-            distribute_batch_tiled(
-                graph,
-                &dests,
-                dags.iter(),
-                traffic,
-                SplitRule::Exponential(&nem.v),
-                tile,
-                &mut nem.tables,
-                &mut nem.scratch,
-                &mut nem.tile_cols,
-                &mut nem.flows,
-                |_, chunk, tables| {
-                    if record {
-                        for (i, &t) in chunk.iter().enumerate() {
-                            let table = tables.table(i);
-                            traffic.demands_to_into(t, &mut nem.demand_buf);
-                            for (s, &d) in nem.demand_buf.iter().enumerate() {
-                                if d > 0.0 {
-                                    dual += d * table.log_path_sum(s.into());
-                                }
+        distribute_batch(
+            graph,
+            &dests,
+            dags.iter(),
+            traffic,
+            SplitRule::Exponential(&nem.v),
+            tile,
+            &mut nem.tables,
+            &mut nem.scratch,
+            &mut nem.flows,
+            |_, chunk, tables| {
+                if record {
+                    for (i, &t) in chunk.iter().enumerate() {
+                        let table = tables.table(i);
+                        traffic.demands_to_into(t, &mut nem.demand_buf);
+                        for (s, &d) in nem.demand_buf.iter().enumerate() {
+                            if d > 0.0 {
+                                dual += d * table.log_path_sum(s.into());
                             }
                         }
                     }
-                    Ok(())
-                },
-            )?;
-        } else {
-            distribute_batch(
-                graph,
-                &dests,
-                dags.iter(),
-                traffic,
-                SplitRule::Exponential(&nem.v),
-                &mut nem.tables,
-                &mut nem.scratch,
-                &mut nem.flows,
-            )?;
-            if config.record_trace {
-                for (i, &t) in dests.iter().enumerate() {
-                    let table = nem.tables.table(i);
-                    traffic.demands_to_into(t, &mut nem.demand_buf);
-                    for (s, &d) in nem.demand_buf.iter().enumerate() {
-                        if d > 0.0 {
-                            dual += d * table.log_path_sum(s.into());
-                        }
-                    }
                 }
-            }
-        }
-        if config.record_trace {
+                Ok(())
+            },
+        )?;
+        if record {
             for (ve, fe) in nem.v.iter().zip(target_flows) {
                 dual += ve * fe;
             }
@@ -227,7 +200,7 @@ pub(crate) fn solve_in(
         }
     }
 
-    nem.record_solution(graph, &dests, tile);
+    nem.record_solution(graph, &dests);
     Ok(NemOutcome {
         second_weights: nem.v.clone(),
         flows: nem.flows.clone(),

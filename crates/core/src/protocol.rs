@@ -23,7 +23,7 @@ use crate::frank_wolfe::FrankWolfeConfig;
 use crate::nem::{self, NemConfig, NemOutcome};
 use crate::solver::TeWorkspace;
 use crate::te::{self, TeSolution};
-use crate::traffic_dist::{validate_rule, Flows, SplitRule, SplitTableSet};
+use crate::traffic_dist::{validate_rule, Flows, SplitRule};
 use crate::weights::{
     integerize, scale_weights, INTEGER_DIJKSTRA_TOLERANCE, NONINTEGER_DIJKSTRA_TOLERANCE,
 };
@@ -179,10 +179,11 @@ pub(crate) fn build_in(
             let mut out = dual_decomp::solve_in(network, traffic, objective, dd, ws)?;
             // A tiled Algorithm 1 solve keeps only the aggregate flows,
             // but the Exact-mode adaptive tolerance below needs the
-            // per-destination support. Rebuild the dense columns once
-            // from the floored weights of the last iterate — the same
-            // kernel the untiled loop ran, so the columns (and the
-            // derived tolerance) are bit-identical to a dense solve.
+            // per-destination support. Rebuild the columns once, over
+            // every destination, from the floored weights of the last
+            // iterate — the one-chunk pass of the same kernel, so the
+            // columns (and the derived tolerance) are bit-identical to an
+            // untiled solve.
             if !out.flows.has_columns()
                 && config.dijkstra_tolerance.is_none()
                 && matches!(config.weight_mode, WeightMode::Exact)
@@ -299,57 +300,43 @@ fn route_stages(
     ws: &mut TeWorkspace,
 ) -> Result<(Vec<ShortestPathDag>, NemOutcome, ForwardingTable), SpefError> {
     let g = engine.graph();
-    let tile = ws.tile.filter(|&t| t < dests.len());
+    let n = g.node_count();
+    let tile = ws.chunk_len(dests.len());
 
     // Step 2: per-destination shortest-path DAGs, built through the
-    // batched CSR engine and materialised for the public accessor. The
-    // tiled path routes the builds through the tile-sized arenas (peak
-    // O(tile·edges)); the DAGs are materialised in destination order
-    // either way, so the owned set is identical bit for bit.
+    // batched CSR engine chunk by chunk (peak O(tile·edges) arenas) and
+    // materialised in destination order for the public accessor.
     let mut dags: Vec<ShortestPathDag> = Vec::with_capacity(dests.len());
-    if let Some(t) = tile {
-        engine.for_each_dag_tile(floored, dests, tolerance, t, |_, chunk, set| {
-            for i in 0..chunk.len() {
-                dags.push(set.to_shortest_path_dag(i, g));
-            }
-            Ok(())
-        })?;
-    } else {
-        engine.build_dags(floored, dests, tolerance)?;
-        for i in 0..engine.dag_set().len() {
-            dags.push(engine.dag_set().to_shortest_path_dag(i, g));
+    for chunk in dests.chunks(tile) {
+        engine.build_dags(floored, chunk, tolerance)?;
+        let set = engine.dag_set();
+        dags.extend((0..set.len()).map(|i| set.to_shortest_path_dag(i, g)));
+    }
+
+    // Step 3: second weights via NEM (chunked off the same knob).
+    let nem_out = nem::solve_in(g, &dags, traffic, target_flows, &config.nem, ws)?;
+
+    // Step 4: forwarding tables (batched TABLE II rows). Each chunk's
+    // rows stream straight into the flat FIB arena through the NEM
+    // split-table arena, so the only all-destinations structure ever
+    // held is the FIB itself.
+    let rule = SplitRule::Exponential(&nem_out.second_weights);
+    validate_rule(g, rule)?;
+    let tables = &mut ws.nem.tables;
+    let mut set = FibSet::new();
+    set.begin(n);
+    for chunk in dags.chunks(tile) {
+        tables.reset(n);
+        for dag in chunk {
+            tables.push_table(g, dag, rule);
+        }
+        for (i, dag) in chunk.iter().enumerate() {
+            let table = tables.table(i);
+            set.push_destination(dag.target(), |u| table.next_hops(NodeId::new(u)));
         }
     }
 
-    // Step 3: second weights via NEM (tiles internally off the same knob).
-    let nem_out = nem::solve_in(g, &dags, traffic, target_flows, &config.nem, ws)?;
-
-    // Step 4: forwarding tables (batched TABLE II rows). The tiled path
-    // streams each tile's rows straight into the flat FIB arena, so the
-    // only all-destinations structure ever held is the FIB itself.
-    let rule = SplitRule::Exponential(&nem_out.second_weights);
-    let fib = if let Some(t) = tile {
-        validate_rule(g, rule)?;
-        let mut tables = SplitTableSet::new();
-        let mut set = FibSet::new();
-        set.begin(g.node_count());
-        for chunk in dags.chunks(t) {
-            tables.reset(g.node_count());
-            for dag in chunk {
-                tables.push_table(g, dag, rule);
-            }
-            for (i, dag) in chunk.iter().enumerate() {
-                let table = tables.table(i);
-                set.push_destination(dag.target(), |u| table.next_hops(NodeId::new(u)));
-            }
-        }
-        ForwardingTable::from(set)
-    } else {
-        let tables = engine.build_split_tables(rule)?;
-        ForwardingTable::from_split_table_set(g.node_count(), dests, tables)
-    };
-
-    Ok((dags, nem_out, fib))
+    Ok((dags, nem_out, ForwardingTable::from(set)))
 }
 
 /// Smallest Dijkstra tolerance that keeps every significantly-loaded edge

@@ -241,33 +241,25 @@ pub(crate) struct TopoFingerprint {
     nodes: usize,
     edges: Vec<(NodeId, NodeId)>,
     dests: Vec<NodeId>,
-    /// The effective destination tile size the solution was produced
-    /// under (`None` = dense/untiled). Tiled and untiled runs are
-    /// bit-identical by contract, but a saved iterate only warm-starts a
-    /// run on the same execution path so trajectories stay a pure
-    /// function of (instance, tile knob).
-    tile: Option<usize>,
 }
 
 impl TopoFingerprint {
-    fn matches(&self, graph: &Graph, dests: &[NodeId], tile: Option<usize>) -> bool {
+    fn matches(&self, graph: &Graph, dests: &[NodeId]) -> bool {
         self.nodes == graph.node_count()
             && self.edges.len() == graph.edge_count()
             && self.dests.as_slice() == dests
-            && self.tile == tile
             && graph
                 .edges()
                 .zip(&self.edges)
                 .all(|((_, u, v), &(su, sv))| u == su && v == sv)
     }
 
-    fn record(&mut self, graph: &Graph, dests: &[NodeId], tile: Option<usize>) {
+    fn record(&mut self, graph: &Graph, dests: &[NodeId]) {
         self.nodes = graph.node_count();
         self.edges.clear();
         self.edges.extend(graph.edges().map(|(_, u, v)| (u, v)));
         self.dests.clear();
         self.dests.extend_from_slice(dests);
-        self.tile = tile;
     }
 }
 
@@ -344,9 +336,8 @@ impl FwFingerprint {
         objective: &Objective,
         smoothing_fraction: f64,
         dests: &[NodeId],
-        tile: Option<usize>,
     ) {
-        self.topo.record(network.graph(), dests, tile);
+        self.topo.record(network.graph(), dests);
         self.capacities.clear();
         self.capacities.extend_from_slice(network.capacities());
         self.q.clear();
@@ -461,12 +452,11 @@ impl FwSession {
         objective: &Objective,
         smoothing_fraction: f64,
         dests: &[NodeId],
-        tile: Option<usize>,
     ) -> bool {
         let Some(saved) = &self.saved else {
             return false;
         };
-        if !saved.topo.matches(network.graph(), dests, tile)
+        if !saved.topo.matches(network.graph(), dests)
             || !bits_eq(&saved.capacities, network.capacities())
             || saved.beta.to_bits() != objective.beta().to_bits()
             || saved.smoothing.to_bits() != smoothing_fraction.to_bits()
@@ -520,7 +510,6 @@ impl FwSession {
         objective: &Objective,
         smoothing_fraction: f64,
         dests: &[NodeId],
-        tile: Option<usize>,
     ) -> bool {
         let g = network.graph();
         let m = g.edge_count();
@@ -528,7 +517,7 @@ impl FwSession {
             let Some(saved) = &self.saved else {
                 return false;
             };
-            if !saved.topo.matches(g, dests, tile)
+            if !saved.topo.matches(g, dests)
                 || !bits_eq(&saved.capacities, network.capacities())
                 || saved.beta.to_bits() != objective.beta().to_bits()
                 || saved.smoothing.to_bits() != smoothing_fraction.to_bits()
@@ -628,12 +617,11 @@ impl FwSession {
         objective: &Objective,
         smoothing_fraction: f64,
         dests: &[NodeId],
-        tile: Option<usize>,
     ) -> FwStart {
-        if self.try_warm_start(network, traffic, objective, smoothing_fraction, dests, tile) {
+        if self.try_warm_start(network, traffic, objective, smoothing_fraction, dests) {
             return FwStart::Rescaled;
         }
-        if self.try_delta_repair(network, traffic, objective, smoothing_fraction, dests, tile) {
+        if self.try_delta_repair(network, traffic, objective, smoothing_fraction, dests) {
             return FwStart::DeltaRepaired;
         }
         if let Some(saved) = &self.saved {
@@ -645,7 +633,6 @@ impl FwSession {
                 objective,
                 smoothing_fraction,
                 dests,
-                tile,
                 &mut self.demand_buf,
                 &mut self.ratio,
             ) {
@@ -663,7 +650,6 @@ impl FwSession {
                 objective,
                 smoothing_fraction,
                 dests,
-                tile,
                 &mut self.demand_buf,
                 &mut self.ratio,
             ) {
@@ -689,7 +675,6 @@ impl FwSession {
         objective: &Objective,
         smoothing_fraction: f64,
         dests: &[NodeId],
-        tile: Option<usize>,
         degraded: bool,
     ) {
         let mut saved = self
@@ -697,11 +682,11 @@ impl FwSession {
             .take()
             .or_else(|| self.stale.take())
             .unwrap_or_default();
-        saved.record_instance(network, traffic, objective, smoothing_fraction, dests, tile);
+        saved.record_instance(network, traffic, objective, smoothing_fraction, dests);
         self.saved = Some(saved);
         if !degraded {
             let mut base = self.base.take().unwrap_or_default();
-            base.record_instance(network, traffic, objective, smoothing_fraction, dests, tile);
+            base.record_instance(network, traffic, objective, smoothing_fraction, dests);
             self.base_flows.copy_from(&self.flows);
             self.base = Some(base);
         }
@@ -753,7 +738,6 @@ fn removal_projection(
     objective: &Objective,
     smoothing_fraction: f64,
     dests: &[NodeId],
-    tile: Option<usize>,
     demand_buf: &mut Vec<f64>,
     ratio: &mut Vec<f64>,
 ) -> Option<Flows> {
@@ -763,7 +747,6 @@ fn removal_projection(
     if m_new >= m_old
         || source.topo.nodes != g.node_count()
         || source.topo.dests.as_slice() != dests
-        || source.topo.tile != tile
         || source.beta.to_bits() != objective.beta().to_bits()
         || source.smoothing.to_bits() != smoothing_fraction.to_bits()
         || source_flows.destinations() != dests
@@ -854,9 +837,6 @@ pub(crate) struct NemSession {
     pub(crate) flows: Flows,
     pub(crate) tables: SplitTableSet,
     pub(crate) scratch: DistScratch,
-    /// Tile-sized per-destination flow columns for the tiled
-    /// distribution path (NEM only needs the aggregate).
-    pub(crate) tile_cols: Vec<Vec<f64>>,
     pub(crate) demand_buf: Vec<f64>,
     saved: Option<TopoFingerprint>,
 }
@@ -865,24 +845,19 @@ impl NemSession {
     /// True when the saved `v` may seed the new run (same graph and
     /// destination set; any `v ≥ 0` is a valid projected-gradient start,
     /// so no further checks are needed).
-    pub(crate) fn try_warm_start(
-        &mut self,
-        graph: &Graph,
-        dests: &[NodeId],
-        tile: Option<usize>,
-    ) -> bool {
+    pub(crate) fn try_warm_start(&mut self, graph: &Graph, dests: &[NodeId]) -> bool {
         let warm = self
             .saved
             .as_ref()
-            .is_some_and(|s| s.matches(graph, dests, tile) && self.v.len() == graph.edge_count());
+            .is_some_and(|s| s.matches(graph, dests) && self.v.len() == graph.edge_count());
         self.saved = None;
         warm
     }
 
     /// Records the instance the current `v` solves.
-    pub(crate) fn record_solution(&mut self, graph: &Graph, dests: &[NodeId], tile: Option<usize>) {
+    pub(crate) fn record_solution(&mut self, graph: &Graph, dests: &[NodeId]) {
         let mut saved = self.saved.take().unwrap_or_default();
-        saved.record(graph, dests, tile);
+        saved.record(graph, dests);
         self.saved = Some(saved);
     }
 
@@ -907,23 +882,19 @@ pub(crate) struct DdSession {
 impl DdSession {
     /// True when the saved multipliers may seed the new run (same graph
     /// and destination set; any `w ≥ 0` is a valid dual start).
-    pub(crate) fn try_warm_start(
-        &mut self,
-        graph: &Graph,
-        dests: &[NodeId],
-        tile: Option<usize>,
-    ) -> bool {
-        let warm = self.saved.as_ref().is_some_and(|s| {
-            s.matches(graph, dests, tile) && self.weights.len() == graph.edge_count()
-        });
+    pub(crate) fn try_warm_start(&mut self, graph: &Graph, dests: &[NodeId]) -> bool {
+        let warm = self
+            .saved
+            .as_ref()
+            .is_some_and(|s| s.matches(graph, dests) && self.weights.len() == graph.edge_count());
         self.saved = None;
         warm
     }
 
     /// Records the instance the current `weights` solve.
-    pub(crate) fn record_solution(&mut self, graph: &Graph, dests: &[NodeId], tile: Option<usize>) {
+    pub(crate) fn record_solution(&mut self, graph: &Graph, dests: &[NodeId]) {
         let mut saved = self.saved.take().unwrap_or_default();
-        saved.record(graph, dests, tile);
+        saved.record(graph, dests);
         self.saved = Some(saved);
     }
 
@@ -954,8 +925,8 @@ pub struct TeWorkspace {
     /// warm.
     engine_alt: Option<EngineState>,
     /// Destination tile size for the iterative solvers' build/distribute
-    /// cycles; `None` = dense (one arena over all destinations).
-    pub(crate) tile: Option<usize>,
+    /// cycles; `None` = one chunk over all destinations.
+    tile: Option<usize>,
     pub(crate) simplex: SimplexWorkspace,
     pub(crate) fw: FwSession,
     pub(crate) nem: NemSession,
@@ -969,22 +940,22 @@ impl TeWorkspace {
     }
 
     /// Sets the destination tile size for subsequent solves: the FW/NEM/DD
-    /// inner loops and the SPEF pipeline then build DAGs and split tables
-    /// in tiles of at most `tile` destinations, bounding peak routing-
-    /// arena memory at O(tile·edges) instead of O(dests·edges). Results
-    /// are **bit-identical** to the dense path for every tile size (the
+    /// inner loops and the SPEF pipeline then route destinations in chunks
+    /// of at most `tile`, bounding peak routing-arena memory at
+    /// O(tile·edges) instead of O(dests·edges). Results, warm starts
+    /// included, are **bit-identical** for every tile size (the
     /// determinism contract pinned by `tests/tile_equivalence.rs`); only
-    /// memory and the warm-start fingerprint (which includes the
-    /// effective tile) change. `None` or `Some(0)` restores the dense
-    /// path; tiles at least as large as the destination set also run
-    /// dense, keeping the SPF skip fingerprint active.
+    /// memory changes. `None` or `Some(0)` routes every destination in
+    /// one chunk, which keeps the SPF skip fingerprint, the local SPF
+    /// repair and the incremental distribution in play.
     pub fn set_tile_size(&mut self, tile: Option<usize>) {
         self.tile = tile.filter(|&t| t > 0);
     }
 
-    /// The configured destination tile size (`None` = dense).
-    pub fn tile_size(&self) -> Option<usize> {
-        self.tile
+    /// Destinations per routing chunk for a destination set of size
+    /// `dests`: the tile size, or every destination (at least 1).
+    pub(crate) fn chunk_len(&self, dests: usize) -> usize {
+        self.tile.unwrap_or(dests).max(1)
     }
 
     /// Bytes currently reserved by the workspace's routing arenas (DAG
@@ -997,12 +968,6 @@ impl TeWorkspace {
             + self.engine_alt.as_ref().map_or(0, EngineState::arena_bytes)
             + self.nem.tables.arena_bytes()
             + self.nem.flows.arena_bytes()
-            + self
-                .nem
-                .tile_cols
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<f64>())
-                .sum::<usize>()
             + self.fw.flows.arena_bytes()
             + self.fw.target.arena_bytes()
             + self.dd.flows.arena_bytes()

@@ -553,11 +553,13 @@ impl<'a> SplitTableRef<'a> {
 }
 
 /// Reusable scratch for the distribution kernel: the per-destination
-/// demand column and in-transit flow accumulator.
+/// demand column, the in-transit flow accumulator, and the flow column of
+/// aggregate-only (chunked) distributions.
 #[derive(Debug, Default)]
 pub(crate) struct DistScratch {
     pub(crate) demands: Vec<f64>,
     pub(crate) incoming: Vec<f64>,
+    pub(crate) column: Vec<f64>,
 }
 
 /// Monotone counter behind [`Flows`] freshness stamps: each successful
@@ -747,15 +749,15 @@ impl Flows {
         self.aggregate.resize(m, 0.0);
     }
 
-    /// Disjoint mutable access to the per-destination columns and the
-    /// aggregate vector — the tiled engine writes a tile's columns while
-    /// accumulating into the shared aggregate.
     /// True when per-destination columns are materialised (an
     /// aggregate-only buffer from a tiled solve has none).
     pub(crate) fn has_columns(&self) -> bool {
         self.per_dest.len() == self.dests.len()
     }
 
+    /// Disjoint mutable access to the per-destination columns and the
+    /// aggregate vector — a chunked distribution writes a chunk's columns
+    /// while accumulating into the shared aggregate.
     pub(crate) fn parts_mut(&mut self) -> (&mut [Vec<f64>], &mut [f64]) {
         self.stamp = 0;
         (&mut self.per_dest, &mut self.aggregate)
@@ -873,9 +875,11 @@ pub fn traffic_distribution(
         dags.iter(),
         traffic,
         rule,
+        usize::MAX,
         &mut tables,
         &mut scratch,
         &mut flows,
+        |_, _, _| Ok(()),
     )?;
     Ok(flows)
 }
@@ -903,9 +907,11 @@ pub fn traffic_distribution_detailed(
         dags.iter(),
         traffic,
         rule,
+        usize::MAX,
         &mut tables,
         &mut scratch,
         &mut flows,
+        |_, _, _| Ok(()),
     )?;
     let n = graph.node_count();
     let owned = (0..tables.len())
@@ -935,124 +941,34 @@ pub(crate) fn validate_rule(graph: &Graph, rule: SplitRule<'_>) -> Result<(), Sp
     Ok(())
 }
 
-/// The shared distribution kernel behind both execution paths: builds the
-/// split table of every destination into `tables` and the flows into
-/// `out`, reusing all buffers. Generic over the DAG storage
-/// ([`ShortestPathDag`] references or arena-backed
-/// [`spef_graph::DagRef`]s); results are bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn distribute_batch<D, I>(
-    graph: &Graph,
-    dests: &[NodeId],
-    dags: I,
-    traffic: &TrafficMatrix,
-    rule: SplitRule<'_>,
-    tables: &mut SplitTableSet,
-    scratch: &mut DistScratch,
-    out: &mut Flows,
-) -> Result<(), SpefError>
-where
-    D: DagAccess,
-    I: IntoIterator<Item = D>,
-    I::IntoIter: ExactSizeIterator,
-{
-    let dags = dags.into_iter();
-    if dests.len() != dags.len() {
-        return Err(SpefError::InvalidInput(format!(
-            "{} DAGs supplied for {} destinations",
-            dags.len(),
-            dests.len()
-        )));
-    }
-    validate_rule(graph, rule)?;
-    out.reset(dests, graph.edge_count());
-    tables.reset(graph.node_count());
-    let (columns, aggregate) = out.parts_mut();
-    distribute_block(
-        graph, dests, dags, traffic, rule, tables, scratch, columns, aggregate,
-    )
-}
-
-/// The per-destination body shared by the untiled and tiled distribution
-/// paths: for each `(dag, dest)` pair it appends a split table (indexed
-/// locally from 0 within `tables`), routes the destination's demand column
-/// into `columns[i]`, and adds it into the **global** `aggregate`. The
-/// untiled [`distribute_batch`] runs exactly one block over all
-/// destinations; the tiled drivers run it once per tile with the same
-/// global aggregate, so the aggregate's floating-point accumulation order
-/// (ascending destination) is identical in both paths — that is the
-/// bit-determinism contract of the tiled engine.
+/// Algorithm 3 over a batch of destination DAGs, in chunks of at most
+/// `tile` destinations (`usize::MAX` for one chunk): builds each chunk's
+/// split tables into `tables` and folds its flows into `out`'s aggregate,
+/// reusing all buffers. Generic over the DAG storage ([`ShortestPathDag`]
+/// references or arena-backed [`spef_graph::DagRef`]s); results are
+/// bit-identical either way.
 ///
-/// `tables` must already be reset for this block and `columns` must be
-/// zeroed, `m`-length and aligned with `dests`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn distribute_block<D, I>(
-    graph: &Graph,
-    dests: &[NodeId],
-    dags: I,
-    traffic: &TrafficMatrix,
-    rule: SplitRule<'_>,
-    tables: &mut SplitTableSet,
-    scratch: &mut DistScratch,
-    columns: &mut [Vec<f64>],
-    aggregate: &mut [f64],
-) -> Result<(), SpefError>
-where
-    D: DagAccess,
-    I: IntoIterator<Item = D>,
-{
-    debug_assert_eq!(columns.len(), dests.len());
-    scratch.incoming.resize(graph.node_count(), 0.0);
-
-    for (i, (dag, &t)) in dags.into_iter().zip(dests).enumerate() {
-        if dag.dag_target() != t {
-            return Err(SpefError::InvalidInput(format!(
-                "DAG target {} does not match destination {t}",
-                dag.dag_target()
-            )));
-        }
-        tables.push_table(graph, &dag, rule);
-        traffic.demands_to_into(t, &mut scratch.demands);
-        let table = tables.table(i);
-        let flows = &mut columns[i];
-        distribute_one_into(
-            graph,
-            &dag,
-            table,
-            &scratch.demands,
-            &mut scratch.incoming,
-            flows,
-        )?;
-        for (agg, f) in aggregate.iter_mut().zip(flows.iter()) {
-            *agg += f;
-        }
-    }
-    Ok(())
-}
-
-/// Tile-by-tile variant of [`distribute_batch`] for callers that only need
-/// the aggregate link flows: split tables and per-destination columns are
-/// bounded by the tile size (peak O(tile·edges) instead of
-/// O(dests·edges)), and `out` holds the aggregate only
-/// ([`Flows::for_destination`] returns `None`). `on_tile(offset, tile
-/// dests, tables)` fires after each tile while its split tables are still
-/// live, letting callers fold per-destination quantities (NEM dual terms,
-/// FIB rows) without retaining the dense arenas.
-///
-/// Aggregate flows are bit-identical to the untiled path for every tile
-/// size: both run [`distribute_block`] over destinations in ascending
-/// order against the same global accumulator.
+/// One chunk keeps the per-destination columns in `out`; several keep the
+/// aggregate only ([`Flows::for_destination`] returns `None`), so split
+/// tables and columns stay O(tile·edges). Either way every destination is
+/// folded into the aggregate in ascending order, so the aggregate is
+/// bit-identical for every tile size. `on_chunk(offset, chunk dests,
+/// tables)` fires after each chunk while its split tables are live,
+/// letting callers fold per-destination quantities (NEM dual terms).
 ///
 /// # Errors
 ///
-/// Same conditions as [`distribute_batch`], plus whatever `on_tile`
-/// returns.
+/// * [`SpefError::UnroutableDemand`] if a positive demand has no path on
+///   its destination's DAG,
+/// * [`SpefError::InvalidInput`] if `dags` is misaligned with `dests` or
+///   the rule's weight vector is malformed,
+/// * whatever `on_chunk` returns.
 ///
 /// # Panics
 ///
 /// Panics if `tile` is zero.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn distribute_batch_tiled<D, I, F>(
+pub(crate) fn distribute_batch<D, I, F>(
     graph: &Graph,
     dests: &[NodeId],
     dags: I,
@@ -1061,9 +977,8 @@ pub(crate) fn distribute_batch_tiled<D, I, F>(
     tile: usize,
     tables: &mut SplitTableSet,
     scratch: &mut DistScratch,
-    columns: &mut Vec<Vec<f64>>,
     out: &mut Flows,
-    mut on_tile: F,
+    mut on_chunk: F,
 ) -> Result<(), SpefError>
 where
     D: DagAccess,
@@ -1081,19 +996,19 @@ where
         )));
     }
     validate_rule(graph, rule)?;
-    let m = graph.edge_count();
-    out.reset_aggregate(dests, m);
-
+    let whole = tile >= dests.len();
+    if whole {
+        out.reset(dests, graph.edge_count());
+    } else {
+        out.reset_aggregate(dests, graph.edge_count());
+    }
+    let (columns, aggregate) = out.parts_mut();
+    tables.reset(graph.node_count());
     let mut offset = 0;
     for chunk in dests.chunks(tile) {
-        if columns.len() < chunk.len() {
-            columns.resize_with(chunk.len(), Vec::new);
+        if offset > 0 {
+            tables.reset(graph.node_count());
         }
-        for col in &mut columns[..chunk.len()] {
-            col.clear();
-            col.resize(m, 0.0);
-        }
-        tables.reset(graph.node_count());
         distribute_block(
             graph,
             chunk,
@@ -1102,11 +1017,73 @@ where
             rule,
             tables,
             scratch,
-            &mut columns[..chunk.len()],
-            &mut out.aggregate,
+            whole.then_some(&mut *columns),
+            aggregate,
         )?;
-        on_tile(offset, chunk, tables)?;
+        on_chunk(offset, chunk, tables)?;
         offset += chunk.len();
+    }
+    Ok(())
+}
+
+/// The per-destination body of every distribution: for each `(dag, dest)`
+/// pair it appends a split table (indexed locally from 0 within
+/// `tables`), routes the destination's demand column into `columns[i]` —
+/// or, without `columns`, into one reused scratch column — and adds it
+/// into the **global** `aggregate`. Chunked callers run it once per chunk
+/// against the same aggregate, so its floating-point accumulation order
+/// (ascending destination) is the same for every chunk size — the
+/// bit-determinism contract of destination tiling.
+///
+/// `tables` must already be reset for this block and `columns`, when
+/// given, must be zeroed, `m`-length and aligned with `dests`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn distribute_block<D, I>(
+    graph: &Graph,
+    dests: &[NodeId],
+    dags: I,
+    traffic: &TrafficMatrix,
+    rule: SplitRule<'_>,
+    tables: &mut SplitTableSet,
+    scratch: &mut DistScratch,
+    mut columns: Option<&mut [Vec<f64>]>,
+    aggregate: &mut [f64],
+) -> Result<(), SpefError>
+where
+    D: DagAccess,
+    I: IntoIterator<Item = D>,
+{
+    debug_assert!(columns.as_ref().is_none_or(|c| c.len() == dests.len()));
+    scratch.incoming.resize(graph.node_count(), 0.0);
+
+    for (i, (dag, &t)) in dags.into_iter().zip(dests).enumerate() {
+        if dag.dag_target() != t {
+            return Err(SpefError::InvalidInput(format!(
+                "DAG target {} does not match destination {t}",
+                dag.dag_target()
+            )));
+        }
+        tables.push_table(graph, &dag, rule);
+        traffic.demands_to_into(t, &mut scratch.demands);
+        let flows = match columns.as_deref_mut() {
+            Some(columns) => &mut columns[i],
+            None => {
+                scratch.column.clear();
+                scratch.column.resize(graph.edge_count(), 0.0);
+                &mut scratch.column
+            }
+        };
+        distribute_one_into(
+            graph,
+            &dag,
+            tables.table(i),
+            &scratch.demands,
+            &mut scratch.incoming,
+            flows,
+        )?;
+        for (agg, f) in aggregate.iter_mut().zip(flows.iter()) {
+            *agg += f;
+        }
     }
     Ok(())
 }

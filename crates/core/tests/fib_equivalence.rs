@@ -11,7 +11,9 @@
 //! must pick the exact edge the linear walk picked — that equality, plus
 //! the unchanged RNG stream, is what makes netsim `SimReport`s
 //! bit-identical across the representation swap (pinned end-to-end by the
-//! committed `BENCH_pre_pr5_nested_fib.json` sweep baseline in CI).
+//! committed `BENCH_post_pr5_flat_fib.json` sim baseline in CI, which the
+//! nested-`Vec` build's report diffed bit-identical to before it was
+//! retired).
 
 use proptest::prelude::*;
 use spef_core::{FibSet, ForwardingTable, RoutingEngine, SplitRule};

@@ -1,12 +1,13 @@
 //! Property tests: the destination-tiled routing paths are
 //! **bit-identical** to the untiled ones for every tile size.
 //!
-//! The tiled engine ([`RoutingEngine::distribute_tiled`] /
-//! [`RoutingEngine::for_each_dag_tile`]) shrinks the DAG and split-table
-//! arenas from O(dests·edges) to O(tile·edges), but the determinism
-//! contract says results never move: each destination's flows are folded
-//! into the global aggregate destination by destination in ascending
-//! order — the exact operation sequence of the untiled batch. These tests
+//! The chunked routing pass ([`RoutingEngine::distribute_tiled`], and
+//! [`RoutingEngine::build_dags`] called chunk by chunk) shrinks the DAG
+//! and split-table arenas from O(dests·edges) to O(tile·edges), but the
+//! determinism contract says results never move: each destination's
+//! flows are folded into the global aggregate destination by destination
+//! in ascending order — the exact operation sequence of the one-chunk
+//! batch. These tests
 //! pin that contract for random instances across adversarial tile sizes
 //! (1, a non-divisor, the whole set, and past the end), at the engine
 //! layer and through the full SPEF pipeline ([`TeWorkspace::set_tile_size`])
@@ -135,33 +136,33 @@ proptest! {
             }
             assert_tables_identical(&ForwardingTable::from(streamed), &dense_fib, n)?;
 
-            // Aggregate-only (the Algorithm 1 / NEM mode): same aggregate,
-            // no columns materialised.
+            // Aggregate-only (the Algorithm 1 mode): same aggregate; a real
+            // tiling materialises no columns (one chunk is the dense call,
+            // whose columns are the incremental-distribution cache).
             let mut agg = engine.distribute_fresh();
             engine
                 .distribute_tiled(&w, &dests, 0.0, &tm, rule, tile, false, &mut agg,
                     |_, _, _, _| Ok(()))
                 .unwrap();
             prop_assert_eq!(bits(agg.aggregate()), bits(dense.aggregate()), "tile {}", tile);
-            prop_assert!(agg.for_destination(dests[0]).is_none());
+            if tile < dests.len() {
+                prop_assert!(agg.for_destination(dests[0]).is_none());
+            }
 
-            // Build-only tiling visits every destination's DAG in order.
+            // Chunked builds (protocol step 2) visit every destination's
+            // DAG in order.
             let mut visited = Vec::new();
-            engine
-                .for_each_dag_tile(&w, &dests, 0.0, tile, |_, chunk, set| {
-                    prop_assert_eq!(set.destinations(), chunk);
-                    visited.extend_from_slice(chunk);
-                    Ok(())
-                })
-                .unwrap();
+            for chunk in dests.chunks(tile) {
+                engine.build_dags(&w, chunk, 0.0).unwrap();
+                prop_assert_eq!(engine.dag_set().destinations(), chunk);
+                visited.extend_from_slice(chunk);
+            }
             prop_assert_eq!(&visited, &dests);
         }
 
-        // The tiled calls never clobbered the untiled DAG fingerprint:
-        // re-running the dense pair skips SPF and reproduces the flows.
-        let builds = engine.spf_builds();
+        // Tiled calls build into the same arenas, so a dense re-run after
+        // them reproduces the dense flows bit for bit.
         engine.build_dags(&w, &dests, 0.0).unwrap();
-        prop_assert_eq!(engine.spf_builds(), builds);
         let mut again = engine.distribute_fresh();
         engine.distribute_into(&tm, rule, &mut again).unwrap();
         prop_assert_eq!(bits(again.aggregate()), bits(dense.aggregate()));
@@ -230,6 +231,78 @@ proptest! {
                     net.node_count(),
                 )?;
             }
+        }
+    }
+}
+
+/// A tile switch mid-session keeps the saved iterates: trajectories are a
+/// pure function of the instance for every tile size, so a warm FW + NEM
+/// chain that changes its tile between solves equals the chain run on one
+/// path bit for bit — first and second weights, flows and FIB.
+#[test]
+fn tile_switch_keeps_warm_starts() {
+    let n = 9;
+    let net = gen::random_network("tileswitch", n, 2 * (n - 1) + 2 * (n / 2), 17);
+    let mut tm = TrafficMatrix::new(n);
+    for s in 0..n {
+        for t in 0..n {
+            if s != t {
+                tm.set(
+                    NodeId::new(s),
+                    NodeId::new(t),
+                    0.1 + ((s * 7 + t) % 5) as f64 * 0.05,
+                );
+            }
+        }
+    }
+    let tm = tm.scaled_to_network_load(&net, 0.03);
+    let loads = [tm.clone(), tm.scaled(1.2), tm.scaled(1.4)];
+    let obj = Objective::proportional(net.link_count());
+    let config = SpefConfig::default();
+    let chain = |tiles: [Option<usize>; 3]| {
+        let mut ws = TeWorkspace::new();
+        loads
+            .iter()
+            .zip(tiles)
+            .map(|(demand, tile)| {
+                ws.set_tile_size(tile);
+                config
+                    .solve_in(TeInstance::new(&net, demand, &obj), &mut ws)
+                    .unwrap()
+            })
+            .collect::<Vec<_>>()
+    };
+
+    let dense = chain([None; 3]);
+    // The chain is warm: its second solve left the cold trajectory.
+    let cold = config
+        .solve(TeInstance::new(&net, &loads[1], &obj))
+        .unwrap();
+    assert_ne!(bits(dense[1].first_weights()), bits(cold.first_weights()));
+
+    for tiles in [
+        [Some(3), None, Some(3)],
+        [None, Some(3), None],
+        [Some(3); 3],
+    ] {
+        for (k, (mixed, reference)) in chain(tiles).iter().zip(&dense).enumerate() {
+            assert_eq!(
+                bits(mixed.first_weights()),
+                bits(reference.first_weights()),
+                "tiles {tiles:?} solve {k}"
+            );
+            assert_eq!(
+                bits(mixed.second_weights()),
+                bits(reference.second_weights()),
+                "tiles {tiles:?} solve {k}"
+            );
+            assert_eq!(
+                bits(mixed.flows().aggregate()),
+                bits(reference.flows().aggregate()),
+                "tiles {tiles:?} solve {k}"
+            );
+            assert_tables_identical(mixed.forwarding_table(), reference.forwarding_table(), n)
+                .unwrap();
         }
     }
 }

@@ -217,14 +217,21 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             }
             "--sim-durations" => {
                 let val = value("--sim-durations")?;
-                grid = grid.sim_durations(parse_f64s("--sim-durations", &val)?);
+                let durations = parse_f64s("--sim-durations", &val)?;
+                require("--sim-durations", &durations, "finite and positive", |v| {
+                    v.is_finite() && v > 0.0
+                })?;
+                grid = grid.sim_durations(durations);
             }
             "--sim-warmup-frac" => {
                 let val = value("--sim-warmup-frac")?;
-                grid = grid.sim_warmup_frac(
-                    val.parse::<f64>()
-                        .map_err(|e| format!("--sim-warmup-frac: invalid value {val:?}: {e}"))?,
-                );
+                let frac = val
+                    .parse::<f64>()
+                    .map_err(|e| format!("--sim-warmup-frac: invalid value {val:?}: {e}"))?;
+                require("--sim-warmup-frac", &[frac], "in [0, 1)", |v| {
+                    (0.0..1.0).contains(&v)
+                })?;
+                grid = grid.sim_warmup_frac(frac);
             }
             "--sim-unit" => {
                 let val = value("--sim-unit")?;

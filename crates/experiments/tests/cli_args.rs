@@ -27,6 +27,12 @@ fn out_of_domain_grid_values_are_rejected_naming_the_flag() {
         ("--betas", "nan"),
         ("--q", "0"),
         ("--q", "-inf"),
+        ("--sim-warmup-frac", "-1"),
+        ("--sim-warmup-frac", "1"),
+        ("--sim-warmup-frac", "nan"),
+        ("--sim-durations", "0"),
+        ("--sim-durations", "1,inf"),
+        ("--sim-durations", "nan"),
     ] {
         let (code, stderr) = sweep(&[flag, value]);
         assert_eq!(code, Some(1), "{flag} {value}: stderr {stderr}");

@@ -304,17 +304,24 @@ fn spf_metadata_is_surfaced_but_never_diffed() {
         masked.result_drift(&other)
     );
 
-    // The committed pre-PR 10 baselines predate the field; they must keep
-    // parsing with the metadata absent (the CI regression gate reads them
-    // on every PR).
-    let text = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../BENCH_post_pr7_warm_failures.json"),
-    )
-    .expect("committed baseline readable");
-    let baseline = BatchReport::from_json(&text).expect("pre-spf baseline parses");
-    assert!(baseline.spf.is_none());
-    assert!(baseline.spf_repair.is_none());
+    // The committed baselines predate the repair block, and the
+    // incremental-SPF one the SPF block too; they must keep parsing with
+    // the metadata absent (the CI regression gate reads them on every
+    // change).
+    for (file, has_spf) in [
+        ("BENCH_post_pr9_incremental_spf.json", false),
+        ("BENCH_post_pr10_masked_failures.json", true),
+    ] {
+        let text = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(file),
+        )
+        .expect("committed baseline readable");
+        let baseline = BatchReport::from_json(&text).expect("committed baseline parses");
+        assert_eq!(baseline.spf.is_some(), has_spf, "{file}");
+        assert!(baseline.spf_repair.is_none(), "{file}");
+    }
 }
 
 #[test]

@@ -1110,56 +1110,6 @@ fn compact_succ(
     *succ_fill = fill;
 }
 
-/// Builds the DAGs of `dests` one bounded **tile** at a time instead of in
-/// one dense `O(dests · (nodes + edges))` arena: each tile of at most
-/// `tile` destinations is built into `out` (overwriting the previous
-/// tile's data, so `out`'s high-water footprint is `O(tile · edges)`), the
-/// tile fans out across worker threads exactly like [`build_dag_set`], and
-/// `visit(offset, tile_dests, out)` is called before the next tile
-/// overwrites it. Per-destination results are bit-identical to the dense
-/// build: each destination's Dijkstra and classification are independent,
-/// so slicing the batch changes nothing but peak memory.
-///
-/// # Errors
-///
-/// Same conditions as [`build_dag_set`], plus whatever `visit` returns;
-/// the error type only needs a `From<GraphError>` conversion so callers in
-/// higher layers can thread their own error through the visitor.
-///
-/// # Panics
-///
-/// Panics if `tile` is zero.
-#[allow(clippy::too_many_arguments)]
-pub fn build_dag_set_tiled<E, F>(
-    graph: &Graph,
-    in_csr: &Csr,
-    weights: &[f64],
-    dests: &[NodeId],
-    tol: f64,
-    par: Parallelism,
-    tile: usize,
-    ws: &mut RoutingWorkspace,
-    out: &mut DagSet,
-    mut visit: F,
-) -> Result<(), E>
-where
-    E: From<GraphError>,
-    F: FnMut(usize, &[NodeId], &DagSet) -> Result<(), E>,
-{
-    assert!(tile > 0, "tile size must be at least 1");
-    let mut offset = 0;
-    for chunk in dests.chunks(tile) {
-        build_dag_set(graph, in_csr, weights, chunk, tol, par, ws, out)?;
-        visit(offset, chunk, out)?;
-        offset += chunk.len();
-    }
-    // An empty destination set still leaves `out` in a consistent state.
-    if dests.is_empty() {
-        build_dag_set(graph, in_csr, weights, dests, tol, par, ws, out)?;
-    }
-    Ok(())
-}
-
 /// Per-destination DAG build into arena slices, in one Dijkstra pass.
 ///
 /// When node `u` settles, every node closer to the target is final and

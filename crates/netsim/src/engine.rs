@@ -626,8 +626,17 @@ fn validate(
             network.node_count()
         )));
     }
-    if config.duration.is_nan() || config.duration <= 0.0 {
-        return Err(SimError::InvalidConfig("duration must be positive".into()));
+    if !config.duration.is_finite() || config.duration <= 0.0 {
+        return Err(SimError::InvalidConfig(
+            "duration must be positive and finite".into(),
+        ));
+    }
+    // A negative or NaN warmup would saturate to zero nanoseconds and run
+    // the simulation without the warmup its caller asked for.
+    if !config.warmup.is_finite() || config.warmup < 0.0 {
+        return Err(SimError::InvalidConfig(
+            "warmup must be non-negative and finite".into(),
+        ));
     }
     if config.warmup >= config.duration {
         return Err(SimError::InvalidConfig(
@@ -645,9 +654,9 @@ fn validate(
             return Err(SimError::InvalidConfig(format!("{name} must be positive")));
         }
     }
-    if config.propagation_delay < 0.0 {
+    if !config.propagation_delay.is_finite() || config.propagation_delay < 0.0 {
         return Err(SimError::InvalidConfig(
-            "propagation delay must be non-negative".into(),
+            "propagation delay must be non-negative and finite".into(),
         ));
     }
     if traffic.pair_count() == 0 {
@@ -1086,6 +1095,12 @@ mod tests {
         assert!(bad(|c| c.packet_size_bits = 0).is_err());
         assert!(bad(|c| c.capacity_to_bps = -1.0).is_err());
         assert!(bad(|c| c.propagation_delay = -1.0).is_err());
+        assert!(bad(|c| c.duration = f64::INFINITY).is_err());
+        assert!(bad(|c| c.warmup = -1.0).is_err());
+        assert!(bad(|c| c.warmup = f64::NAN).is_err());
+        assert!(bad(|c| c.warmup = f64::NEG_INFINITY).is_err());
+        assert!(bad(|c| c.propagation_delay = f64::NAN).is_err());
+        assert!(bad(|c| c.propagation_delay = f64::INFINITY).is_err());
         let empty = TrafficMatrix::new(3);
         assert!(simulate(&net, &empty, &fib, &SimConfig::default()).is_err());
     }
